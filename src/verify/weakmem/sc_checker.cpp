@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <numeric>
 #include <queue>
+#include <span>
 #include <sstream>
-
-#include "verify/linearizability.hpp"
+#include <utility>
 
 namespace bprc::weakmem {
 
@@ -24,28 +25,15 @@ const char* order_name(std::uint8_t order) {
   return "?";
 }
 
-/// The flattened view of a recording: global ids are thread-major, so
-/// id = base[thread] + seq, which makes (thread, seq) → id arithmetic.
-struct Flat {
-  std::vector<const MemAction*> actions;  ///< by global id
-  std::vector<std::size_t> base;          ///< first global id per thread
-
-  std::size_t id_of(ProcId thread, std::uint32_t seq) const {
-    return base[static_cast<std::size_t>(thread)] + seq;
-  }
-};
+/// Every action by global id. Ids are thread-major, so each thread's
+/// actions hold consecutive ids, in program order.
+using Flat = std::vector<const MemAction*>;
 
 Flat flatten(const Recording& rec) {
   Flat flat;
-  flat.base.resize(rec.logs.size());
-  std::size_t next = 0;
-  for (std::size_t t = 0; t < rec.logs.size(); ++t) {
-    flat.base[t] = next;
-    next += rec.logs[t].size();
-  }
-  flat.actions.reserve(next);
+  flat.reserve(rec.total_actions());
   for (const auto& log : rec.logs) {
-    for (const MemAction& a : log) flat.actions.push_back(&a);
+    for (const MemAction& a : log) flat.push_back(&a);
   }
   return flat;
 }
@@ -70,7 +58,7 @@ bool build_location_index(const Recording& rec, const Flat& flat,
   index.assign(rec.locations.size(), {});
   // Count writes per location so version ranges can be validated.
   std::vector<std::size_t> writes(rec.locations.size(), 0);
-  for (const MemAction* a : flat.actions) {
+  for (const MemAction* a : flat) {
     if (a->location < 0 ||
         static_cast<std::size_t>(a->location) >= rec.locations.size()) {
       witness = fail(rec, *a, "location id out of range");
@@ -83,8 +71,8 @@ bool build_location_index(const Recording& rec, const Flat& flat,
   for (std::size_t l = 0; l < index.size(); ++l) {
     index[l].writers.assign(writes[l], SIZE_MAX);
   }
-  for (std::size_t id = 0; id < flat.actions.size(); ++id) {
-    const MemAction& a = *flat.actions[id];
+  for (std::size_t id = 0; id < flat.size(); ++id) {
+    const MemAction& a = *flat[id];
     const auto l = static_cast<std::size_t>(a.location);
     if (a.kind != MemAction::Kind::kLoad) {
       if (a.mo == 0) {
@@ -115,12 +103,12 @@ bool build_location_index(const Recording& rec, const Flat& flat,
   // Reads must return the value their rf write put there (or the initial
   // payload for rf = 0) — a recorder-integrity check, independent of the
   // order analysis below.
-  for (const MemAction* a : flat.actions) {
+  for (const MemAction* a : flat) {
     if (a->kind == MemAction::Kind::kStore) continue;
     const auto l = static_cast<std::size_t>(a->location);
     const std::uint64_t expect =
         a->rf == 0 ? rec.locations[l].initial
-                   : flat.actions[index[l].writers[a->rf - 1]]->value;
+                   : flat[index[l].writers[a->rf - 1]]->value;
     if (a->kind == MemAction::Kind::kLoad && a->value != expect) {
       witness = fail(rec, *a, "read value disagrees with its rf write");
       return false;
@@ -129,95 +117,109 @@ bool build_location_index(const Recording& rec, const Flat& flat,
   return true;
 }
 
+/// po ∪ rf ∪ mo ∪ fr as compressed rows: the out-edges of a are
+/// dst[start[a] .. start[a+1]), in the order build_edges adds them.
 struct Graph {
-  std::vector<std::vector<std::size_t>> out;
-  std::vector<std::size_t> indegree;
+  std::vector<std::size_t> start, dst;
 
-  explicit Graph(std::size_t n) : out(n), indegree(n, 0) {}
-
-  void edge(std::size_t a, std::size_t b) {
-    out[a].push_back(b);
-    ++indegree[b];
+  std::span<const std::size_t> out(std::size_t a) const {
+    return {dst.data() + start[a], dst.data() + start[a + 1]};
   }
+  std::size_t size() const { return start.size() - 2; }
 };
 
-Graph build_edges(const Recording& rec, const Flat& flat,
-                  const std::vector<LocationIndex>& index) {
-  Graph g(flat.actions.size());
-  // po: consecutive actions of one thread.
-  for (std::size_t t = 0; t < rec.logs.size(); ++t) {
-    for (std::size_t i = 1; i < rec.logs[t].size(); ++i) {
-      g.edge(flat.base[t] + i - 1, flat.base[t] + i);
+Graph build_edges(const Flat& flat, const std::vector<LocationIndex>& index) {
+  const std::size_t n = flat.size();
+  Graph g{std::vector<std::size_t>(n + 2, 0), {}};
+  // Two passes over the same edges: the first counts row a's edges into
+  // start[a+2]; after the prefix sum the second fills row a from
+  // start[a+1], which leaves start[a+1] at the start of row a+1.
+  for (const bool fill : {false, true}) {
+    if (fill) {
+      std::partial_sum(g.start.begin(), g.start.end(), g.start.begin());
+      g.dst.resize(g.start.back());
     }
-  }
-  for (std::size_t id = 0; id < flat.actions.size(); ++id) {
-    const MemAction& a = *flat.actions[id];
-    const auto& writers = index[static_cast<std::size_t>(a.location)].writers;
-    if (a.kind != MemAction::Kind::kStore) {
-      // rf: the write this read observed precedes it.
-      if (a.rf >= 1) g.edge(writers[a.rf - 1], id);
-      // fr: this read precedes the write that overwrote what it saw. For
-      // an RMW that overwriter is the RMW itself — no edge.
-      if (a.rf < writers.size() && writers[a.rf] != id) {
-        g.edge(id, writers[a.rf]);
+    const auto edge = [&](std::size_t a, std::size_t b) {
+      if (fill) g.dst[g.start[a + 1]++] = b;
+      else ++g.start[a + 2];
+    };
+    // po: consecutive actions of one thread.
+    for (std::size_t id = 1; id < n; ++id) {
+      if (flat[id]->seq > 0) edge(id - 1, id);
+    }
+    for (std::size_t id = 0; id < n; ++id) {
+      const MemAction& a = *flat[id];
+      const auto& writers = index[static_cast<std::size_t>(a.location)].writers;
+      if (a.kind != MemAction::Kind::kStore) {
+        // rf: the write this read observed precedes it.
+        if (a.rf >= 1) edge(writers[a.rf - 1], id);
+        // fr: this read precedes the write that overwrote what it saw. For
+        // an RMW that overwriter is the RMW itself — no edge.
+        if (a.rf < writers.size() && writers[a.rf] != id) {
+          edge(id, writers[a.rf]);
+        }
       }
-    }
-    if (a.kind != MemAction::Kind::kLoad && a.mo >= 2) {
-      // mo: version v-1 precedes version v.
-      g.edge(writers[a.mo - 2], id);
+      if (a.kind != MemAction::Kind::kLoad && a.mo >= 2) {
+        // mo: version v-1 precedes version v.
+        edge(writers[a.mo - 2], id);
+      }
     }
   }
   return g;
 }
 
-/// Clock-vector fixpoint: cv[id][t] = count of thread-t actions that
-/// happen before or equal action `id` under po ∪ rf ∪ mo ∪ fr.
-std::vector<std::vector<std::uint32_t>> clock_vectors(const Flat& flat,
-                                                      const Graph& g,
-                                                      std::size_t nthreads) {
-  std::vector<std::vector<std::uint32_t>> cv(
-      flat.actions.size(), std::vector<std::uint32_t>(nthreads, 0));
-  std::deque<std::size_t> work;
-  std::vector<bool> queued(flat.actions.size(), false);
-  for (std::size_t id = 0; id < flat.actions.size(); ++id) {
-    const MemAction& a = *flat.actions[id];
-    cv[id][static_cast<std::size_t>(a.thread)] = a.seq + 1;
-    work.push_back(id);
-    queued[id] = true;
-  }
-  while (!work.empty()) {
-    const std::size_t id = work.front();
-    work.pop_front();
-    queued[id] = false;
-    for (const std::size_t succ : g.out[id]) {
-      bool grew = false;
-      for (std::size_t t = 0; t < nthreads; ++t) {
-        if (cv[id][t] > cv[succ][t]) {
-          cv[succ][t] = cv[id][t];
-          grew = true;
-        }
+/// Strongly connected components by an iterative Tarjan walk (a history
+/// can be deeper than the call stack): comp[id] is its component's root.
+std::vector<std::size_t> components(const Graph& g) {
+  const std::size_t n = g.size();
+  std::vector<std::size_t> comp(n, SIZE_MAX), num(n, SIZE_MAX), low(n);
+  std::vector<std::size_t> stack;
+  std::vector<std::pair<std::size_t, std::size_t>> dfs;  // (node, next edge)
+  std::size_t counter = 0;
+  for (std::size_t root = 0; root < n; ++root) {
+    if (num[root] != SIZE_MAX) continue;
+    dfs.emplace_back(root, 0);
+    while (!dfs.empty()) {
+      const auto [v, next] = dfs.back();
+      if (next == 0) {
+        num[v] = low[v] = counter++;
+        stack.push_back(v);
       }
-      if (grew && !queued[succ]) {
-        work.push_back(succ);
-        queued[succ] = true;
+      if (next < g.out(v).size()) {
+        ++dfs.back().second;
+        const std::size_t w = g.out(v)[next];
+        if (num[w] == SIZE_MAX) {
+          dfs.emplace_back(w, 0);
+        } else if (comp[w] == SIZE_MAX) {  // w is still on the stack
+          low[v] = std::min(low[v], num[w]);
+        }
+        continue;
+      }
+      dfs.pop_back();
+      if (!dfs.empty()) {
+        low[dfs.back().first] = std::min(low[dfs.back().first], low[v]);
+      }
+      if (low[v] != num[v]) continue;
+      for (std::size_t w = SIZE_MAX; w != v; stack.pop_back()) {
+        comp[w = stack.back()] = v;
       }
     }
   }
-  return cv;
+  return comp;
 }
 
 /// Finds a path b ⇝ a (BFS over the edge graph) for the cycle witness.
 std::vector<std::size_t> find_path(const Graph& g, std::size_t from,
                                    std::size_t to) {
-  std::vector<std::size_t> parent(g.out.size(), SIZE_MAX);
+  std::vector<std::size_t> parent(g.size(), SIZE_MAX);
   std::deque<std::size_t> work{from};
-  std::vector<bool> seen(g.out.size(), false);
+  std::vector<bool> seen(g.size(), false);
   seen[from] = true;
   while (!work.empty()) {
     const std::size_t id = work.front();
     work.pop_front();
     if (id == to) break;
-    for (const std::size_t succ : g.out[id]) {
+    for (const std::size_t succ : g.out(id)) {
       if (!seen[succ]) {
         seen[succ] = true;
         parent[succ] = id;
@@ -265,10 +267,6 @@ std::string describe_action(const Recording& rec, const MemAction& a) {
 SCResult check_sc(const Recording& rec) {
   SCResult result;
   const Flat flat = flatten(rec);
-  if (flat.actions.empty()) {
-    result.well_formed = result.sc = result.coherent = true;
-    return result;
-  }
 
   // Log integrity: entry (t, i) must claim thread t and seq i — loaded
   // artifacts are untrusted input.
@@ -284,83 +282,85 @@ SCResult check_sc(const Recording& rec) {
   }
 
   std::vector<LocationIndex> index;
-  if (!build_location_index(rec, flat, index, result.witness)) {
-    return result;
-  }
+  if (!build_location_index(rec, flat, index, result.witness)) return result;
   result.well_formed = true;
 
-  const Graph g = build_edges(rec, flat, index);
-  const auto cv = clock_vectors(flat, g, rec.logs.size());
+  const Graph g = build_edges(flat, index);
 
-  // An edge a→b whose source's clock vector already covers b means b ⇝ a:
-  // together with a→b that is a happens-before cycle, i.e. no SC total
-  // order can explain this execution.
-  for (std::size_t a = 0; a < flat.actions.size(); ++a) {
-    for (const std::size_t b : g.out[a]) {
-      if (a == b) continue;
-      const MemAction& bact = *flat.actions[b];
-      if (cv[a][static_cast<std::size_t>(bact.thread)] >= bact.seq + 1) {
+  // Deterministic topological sort (Kahn, smallest global id first). It is
+  // total exactly when po ∪ rf ∪ mo ∪ fr is acyclic.
+  std::priority_queue<std::size_t, std::vector<std::size_t>, std::greater<>>
+      ready;
+  std::vector<std::size_t> indegree(flat.size(), 0);
+  for (const std::size_t b : g.dst) ++indegree[b];
+  for (std::size_t id = 0; id < flat.size(); ++id) {
+    if (indegree[id] == 0) ready.push(id);
+  }
+  result.order.reserve(flat.size());
+  while (!ready.empty()) {
+    const std::size_t id = ready.top();
+    ready.pop();
+    result.order.push_back(id);
+    for (const std::size_t succ : g.out(id)) {
+      if (--indegree[succ] == 0) ready.push(succ);
+    }
+  }
+
+  if (result.order.size() != flat.size()) {
+    // A happens-before cycle: no SC total order explains this execution.
+    // Witness: the first edge a→b (a in id order) inside one strongly
+    // connected component, closed by a path b ⇝ a.
+    result.order.clear();
+    const std::vector<std::size_t> comp = components(g);
+    for (std::size_t a = 0; a < flat.size(); ++a) {
+      for (const std::size_t b : g.out(a)) {
+        if (a == b || comp[a] != comp[b]) continue;
         std::ostringstream witness;
         witness << "non-SC execution: happens-before cycle\n";
-        const std::vector<std::size_t> path = find_path(g, b, a);
-        for (const std::size_t id : path) {
-          witness << "  " << describe_action(rec, *flat.actions[id]) << "\n";
+        for (const std::size_t id : find_path(g, b, a)) {
+          witness << "  " << describe_action(rec, *flat[id]) << "\n";
         }
-        witness << "  " << describe_action(rec, *flat.actions[b])
+        witness << "  " << describe_action(rec, *flat[b])
                 << "  <- cycle closes here";
         result.witness = witness.str();
         return result;
       }
     }
+    result.witness = "internal: topological sort incomplete";  // self-loop
+    return result;
   }
   result.sc = true;
 
-  // Deterministic topological sort (Kahn, smallest global id first).
-  {
-    std::priority_queue<std::size_t, std::vector<std::size_t>,
-                        std::greater<>> ready;
-    std::vector<std::size_t> indegree = g.indegree;
-    for (std::size_t id = 0; id < flat.actions.size(); ++id) {
-      if (indegree[id] == 0) ready.push(id);
-    }
-    result.order.reserve(flat.actions.size());
-    while (!ready.empty()) {
-      const std::size_t id = ready.top();
-      ready.pop();
-      result.order.push_back(id);
-      for (const std::size_t succ : g.out[id]) {
-        if (--indegree[succ] == 0) ready.push(succ);
-      }
-    }
-    // The cycle scan above proved acyclicity; the sort must be total.
-    if (result.order.size() != flat.actions.size()) {
-      result.sc = false;
-      result.witness = "internal: topological sort incomplete";
-      return result;
+  // Coherence: replay the SC order, one current value per location; every
+  // load must return its location's latest write. With the op at position
+  // k spanning [2k, 2k+1], the order is each location's only linearization,
+  // so this is exactly the Wing–Gong check of it, witness text included.
+  std::vector<std::uint64_t> current;
+  for (const auto& loc : rec.locations) current.push_back(loc.initial);
+  std::size_t stale = SIZE_MAX;  // smallest location with a stale load
+  for (const std::size_t id : result.order) {
+    const MemAction& a = *flat[id];
+    const auto l = static_cast<std::size_t>(a.location);
+    if (a.kind != MemAction::Kind::kLoad) {
+      current[l] = a.value;
+    } else if (a.value != current[l]) {
+      stale = std::min(stale, l);
     }
   }
-
-  // Feed the SC order through the Wing–Gong checker, one sequential
-  // RegOp history per location: every read must return the latest write.
-  std::vector<std::vector<RegOp>> histories(rec.locations.size());
-  for (std::size_t pos = 0; pos < result.order.size(); ++pos) {
-    const MemAction& a = *flat.actions[result.order[pos]];
-    RegOp op;
-    op.is_write = a.kind != MemAction::Kind::kLoad;
-    op.value = a.value;
-    op.inv = 2 * pos;
-    op.res = 2 * pos + 1;
-    op.proc = a.thread;
-    histories[static_cast<std::size_t>(a.location)].push_back(op);
-  }
-  for (std::size_t l = 0; l < histories.size(); ++l) {
-    const LinResult lin =
-        check_register_linearizable(histories[l], rec.locations[l].initial);
-    if (!lin.ok) {
-      result.witness = "SC order not coherent on location " +
-                       rec.locations[l].name + ": " + lin.witness;
-      return result;
+  if (stale != SIZE_MAX) {
+    std::ostringstream witness;
+    witness << "SC order not coherent on location " << rec.locations[stale].name
+            << ": no linearization exists; history:";
+    for (std::size_t pos = 0; pos < result.order.size(); ++pos) {
+      const MemAction& a = *flat[result.order[pos]];
+      if (static_cast<std::size_t>(a.location) != stale) continue;
+      const bool write = a.kind != MemAction::Kind::kLoad;
+      witness << "\n  p" << a.thread << (write ? " write(" : " read->")
+              << a.value << (write ? ")" : "") << " [" << 2 * pos << ","
+              << 2 * pos + 1 << "]";
     }
+    result.witness = witness.str();
+    return result;
   }
   result.coherent = true;
   return result;

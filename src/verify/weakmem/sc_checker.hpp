@@ -12,17 +12,23 @@
 //        version v+1 (it demonstrably executed before that write).
 //
 // The execution is explainable by a sequentially consistent total order
-// iff po ∪ rf ∪ mo ∪ fr is acyclic (Shasha–Snir). Cycle detection uses
-// clock vectors: cv[a][t] = number of thread-t actions that happen before
-// or equal a, propagated along edges to fixpoint; an edge a→b where
-// cv[a] already covers b witnesses a cycle, and the checker reports the
-// full cycle path as a human-readable witness.
+// iff po ∪ rf ∪ mo ∪ fr is acyclic (Shasha–Snir). A deterministic Kahn
+// topological sort (smallest global id first) decides that: it emits
+// every action exactly when the relation is acyclic, and its output is
+// the SC total order. When it stalls, the actions it could not emit hold
+// a cycle; the witness is the first edge a→b, a in id order, whose ends
+// share a strongly connected component (iterative Tarjan), closed by a
+// BFS path b ⇝ a and printed as human-readable actions.
 //
-// When the relation is acyclic, a deterministic topological sort yields
-// an SC total order, which is re-validated through the existing
-// Wing–Gong linearizability checker: each location's actions become a
-// sequential RegOp history (read-your-latest-write semantics), so native
-// runs are graded by exactly the oracle the simulator uses.
+// Coherence is then re-checked by one replay of the total order that
+// keeps each location's current value: every load must return it. With
+// the op at position k of the order given the interval [2k, 2k+1], the
+// order is each location history's only linearization, so the replay
+// decides exactly what the Wing–Gong register checker
+// (verify/linearizability.hpp) would, in linear time and without
+// recursion. On a well-formed acyclic recording rf, fr and mo already
+// place every load right after the write it read, so the replay is an
+// independent re-check of the order, not a second search.
 //
 // Scope: this is a *dynamic* analysis of one observed execution, like
 // TSAN — it proves this run SC or exhibits this run's violation; it does
@@ -42,8 +48,8 @@ namespace bprc::weakmem {
 /// Verdict of the offline analysis.
 struct SCResult {
   bool sc = false;          ///< po ∪ rf ∪ mo ∪ fr acyclic
-  bool coherent = false;    ///< per-location Wing–Gong check of the total
-                            ///< order (vacuously true when !sc)
+  bool coherent = false;    ///< every load of the total order returns its
+                            ///< location's latest write (false when !sc)
   bool well_formed = false; ///< version fields internally consistent
   std::string witness;      ///< cycle / violation description when failed
 

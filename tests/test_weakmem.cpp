@@ -2,12 +2,14 @@
 //
 // The recordings here are built by hand, action by action, so every edge
 // family (po, rf, mo, fr) and every rejection path is pinned without any
-// dependence on real-thread scheduling. End-to-end recordings from real
+// dependence on real-thread scheduling; two recordings of real native
+// runs are checked in under tests/data. End-to-end recordings from live
 // native runs are covered by test_native_registers.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "verify/weakmem/recorder.hpp"
 #include "verify/weakmem/sc_checker.hpp"
@@ -193,6 +195,73 @@ TEST(WeakMem, DescribeActionIsReadable) {
   EXPECT_NE(s.find("T0#0"), std::string::npos) << s;
   EXPECT_NE(s.find("x=4"), std::string::npos) << s;
   EXPECT_NE(s.find("acquire"), std::string::npos) << s;
+}
+
+TEST(WeakMem, LongSingleThreadHistoryIsSC) {
+  // 80,000 alternating store/load actions on one location: a history as
+  // deep as a long native run. Loaded artifacts are untrusted input, so
+  // the analysis must not recurse per action.
+  WeakMemRecorder rec(1);
+  const int x = rec.on_location("x", 0);
+  for (std::uint64_t v = 1; v <= 40'000; ++v) {
+    act(rec, 0, x, kStore, v, 0, v);
+    act(rec, 0, x, kLoad, v, v, 0);
+  }
+  const SCResult res = check_sc(rec.recording());
+  EXPECT_TRUE(res.ok()) << res.witness;
+  EXPECT_EQ(res.order.size(), 80'000u);
+}
+
+/// FNV-1a over the order's ids, eight little-endian bytes each.
+std::uint64_t order_hash(const std::vector<std::size_t>& order) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const std::size_t id : order) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (static_cast<std::uint64_t>(id) >> (8 * byte)) & 0xFF;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  return h;
+}
+
+// The checked-in recordings pin the analysis's verdicts, witness text and
+// SC order; the expected values were produced by the clock-vector and
+// Wing–Gong implementation this checker replaced.
+
+TEST(WeakMemFixture, BrokenRelaxedWitnessIsPinned) {
+  // Written by `bprc_torture --native-case broken-relaxed --check-sc --n 2`.
+  const auto rec = load_recording(std::string(BPRC_TEST_DATA_DIR) +
+                                  "/broken-relaxed.bprc-weakmem");
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->total_actions(), 4u);
+  const SCResult res = check_sc(*rec);
+  EXPECT_TRUE(res.well_formed);
+  EXPECT_FALSE(res.sc);
+  EXPECT_FALSE(res.coherent);
+  EXPECT_TRUE(res.order.empty());
+  EXPECT_EQ(res.witness,
+            "non-SC execution: happens-before cycle\n"
+            "  T0#1 R y=0 rf@v0 (relaxed)\n"
+            "  T1#0 W y=1 @v1 (relaxed)\n"
+            "  T1#1 R x=0 rf@v0 (relaxed)\n"
+            "  T0#0 W x=1 @v1 (relaxed)\n"
+            "  T0#1 R y=0 rf@v0 (relaxed)  <- cycle closes here");
+}
+
+TEST(WeakMemFixture, ScanStormOrderIsPinned) {
+  // A scan-storm run at n=4 with 40 iterations per thread.
+  const auto rec = load_recording(std::string(BPRC_TEST_DATA_DIR) +
+                                  "/scan-storm-n4.bprc-weakmem");
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->case_name, "scan-storm");
+  ASSERT_EQ(rec->total_actions(), 3432u);
+  const SCResult res = check_sc(*rec);
+  EXPECT_TRUE(res.well_formed);
+  EXPECT_TRUE(res.sc);
+  EXPECT_TRUE(res.coherent);
+  EXPECT_EQ(res.witness, "");
+  ASSERT_EQ(res.order.size(), 3432u);
+  EXPECT_EQ(order_hash(res.order), 0x3358d96602068f85ULL);
 }
 
 }  // namespace
