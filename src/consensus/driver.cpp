@@ -79,14 +79,17 @@ const char* to_string(FailureClass f) {
   return "?";
 }
 
-FailureClass failure_class_from_string(const std::string& name) {
+bool failure_class_from_string(std::string_view name, FailureClass* out) {
   for (const FailureClass f :
-       {FailureClass::kConsistency, FailureClass::kValidity,
+       {FailureClass::kNone, FailureClass::kConsistency, FailureClass::kValidity,
         FailureClass::kBoundedMemory, FailureClass::kTermination,
         FailureClass::kWorkerCrash}) {
-    if (name == to_string(f)) return f;
+    if (name == to_string(f)) {
+      *out = f;
+      return true;
+    }
   }
-  return FailureClass::kNone;
+  return false;
 }
 
 SimReuse::SimReuse() = default;

@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -84,8 +85,9 @@ enum class FailureClass : std::uint8_t {
 
 const char* to_string(FailureClass f);
 
-/// Parses the names produced by to_string(FailureClass); kNone on mismatch.
-FailureClass failure_class_from_string(const std::string& name);
+/// Parses the names produced by to_string(FailureClass); false on anything
+/// unrecognized (artifact parsers must reject, not guess).
+bool failure_class_from_string(std::string_view name, FailureClass* out);
 
 struct ConsensusRunResult {
   bool all_decided = false;   ///< every non-crashed process decided

@@ -1,12 +1,12 @@
 #include "explore/frontier.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "consensus/driver.hpp"
 #include "runtime/adversary.hpp"
+#include "util/line_record.hpp"
 
 namespace bprc::explore {
 
@@ -22,41 +22,147 @@ void append_u64(std::string* out, std::uint64_t v) {
   *out += std::to_string(v);
 }
 
-void append_stat(std::string* out, const char* name, std::uint64_t v) {
-  *out += "stat ";
-  *out += name;
-  *out += ' ';
-  append_u64(out, v);
-  *out += '\n';
+/// The decimal stats, in file order. `stale-branches` is written only
+/// when nonzero, to keep atomic-mode frontier bytes historical.
+constexpr std::pair<const char*, std::uint64_t ExploreStats::*> kStats[] = {
+    {"executions", &ExploreStats::executions},
+    {"complete-runs", &ExploreStats::complete_runs},
+    {"truncated-runs", &ExploreStats::truncated_runs},
+    {"pruned-runs", &ExploreStats::pruned_runs},
+    {"states-visited", &ExploreStats::states_visited},
+    {"states-merged", &ExploreStats::states_merged},
+    {"sleep-pruned", &ExploreStats::sleep_pruned},
+    {"sleep-blocked", &ExploreStats::sleep_blocked},
+    {"coin-branches", &ExploreStats::coin_branches},
+    {"stale-branches", &ExploreStats::stale_branches},
+    {"max-trail-depth", &ExploreStats::max_trail_depth},
+    {"total-steps", &ExploreStats::total_steps},
+    {"worker-crashes", &ExploreStats::worker_crashes},
+    {"cache-evictions", &ExploreStats::cache_evictions},
+    {"peak-cache-bytes", &ExploreStats::peak_cache_bytes},
+};
+
+bool read_stat(LineReader& r, ExploreStats* s) {
+  std::string_view name;
+  if (!r.take(&name)) return r.malformed();
+  if (name == "digest") return r.fields(LineReader::Hex{&s->schedule_digest});
+  if (name == "seconds") return r.fields(&s->seconds);
+  for (const auto& [stat, field] : kStats) {
+    if (name == stat) return r.fields(&(s->*field));
+  }
+  return true;  // unknown stat names: skipped (forward compatibility)
 }
 
-bool parse_u64(std::istringstream& in, std::uint64_t* out) {
-  std::string tok;
-  if (!(in >> tok)) return false;
-  char* end = nullptr;
-  *out = std::strtoull(tok.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && !tok.empty();
+bool read_node(LineReader& r, FrontierNode* node) {
+  std::string_view kind;
+  if (!r.take(&kind)) return r.malformed();
+  if (kind == "c") {
+    node->is_coin = true;
+    return r.fields(&node->coin_value, &node->taken);
+  }
+  if (kind == "t") {
+    node->is_stale = true;
+    return r.fields(&node->stale_value, &node->stale_options, &node->taken) &&
+           ((node->stale_value >= 0 && node->stale_options >= 2 &&
+             node->stale_value < node->stale_options) ||
+            r.malformed("stale value outside its options"));
+  }
+  if (kind != "s") return r.malformed("unknown node kind");
+  std::size_t nops = 0;
+  if (!r.take(&node->chosen) || !r.take(&node->taken) ||
+      !r.take(LineReader::Hex{&node->candidates}) ||
+      !r.take(LineReader::Hex{&node->sleep}) || !r.take(&nops) ||
+      nops > kRunnableMaskBits) {
+    return r.malformed();
+  }
+  node->ops.resize(nops);
+  for (OpDesc& op : node->ops) {
+    int op_kind = 0;
+    if (!r.take(&op_kind) || !r.take(&op.object) || !r.take(&op.payload) ||
+        op_kind < 0 || op_kind > 2) {
+      return r.malformed("bad op");
+    }
+    op.kind = static_cast<OpDesc::Kind>(op_kind);
+  }
+  return r.fields();
 }
 
-bool parse_hex(std::istringstream& in, std::uint64_t* out) {
-  std::string tok;
-  if (!(in >> tok)) return false;
-  char* end = nullptr;
-  *out = std::strtoull(tok.c_str(), &end, 16);
-  return end != nullptr && *end == '\0' && !tok.empty();
+/// Parse state of one frontier: the lines each declared section still owes.
+struct FrontierReader {
+  Frontier frontier;
+  std::size_t trail_left = 0;
+  std::size_t violations_left = 0;
+  std::size_t cache_left = 0;
+
+  bool read_line(LineReader& r);
+  bool read_violation_line(LineReader& r);
+};
+
+bool FrontierReader::read_line(LineReader& r) {
+  const std::string_view key = r.key();
+  Frontier& f = frontier;
+  if (key == "fingerprint") {
+    return r.once() && r.fields(LineReader::Hex{&f.fingerprint});
+  }
+  if (key == "complete") return r.once() && r.fields(&f.complete);
+  if (key == "stat") return read_stat(r, &f.stats);
+  if (key == "trail") return r.once() && r.count(&trail_left);
+  if (key == "node") {
+    if (trail_left == 0) return r.fail("node line outside a declared trail");
+    --trail_left;
+    return read_node(r, &f.trail.emplace_back());
+  }
+  if (key == "violations") return r.once() && r.count(&violations_left);
+  if (key.starts_with('v')) return read_violation_line(r);
+  if (key == "cache") {
+    if (!r.once() || !r.count(&cache_left)) return false;
+    f.cache.reserve(cache_left);
+    return true;
+  }
+  if (key == "seen") {
+    if (cache_left == 0) return r.fail("seen line outside a declared cache");
+    --cache_left;
+    auto& [cache_key, depth] = f.cache.emplace_back();
+    return r.fields(LineReader::Hex{&cache_key}, &depth);
+  }
+  return true;  // unknown keys: skipped (forward compatibility)
 }
 
-bool parse_i64(std::istringstream& in, std::int64_t* out) {
-  std::string tok;
-  if (!(in >> tok)) return false;
-  char* end = nullptr;
-  *out = std::strtoll(tok.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && !tok.empty();
-}
-
-bool fail(std::string* err, const std::string& message) {
-  if (err != nullptr) *err = message;
-  return false;
+bool FrontierReader::read_violation_line(LineReader& r) {
+  const std::string_view key = r.key();
+  std::vector<ExploreViolation>& all = frontier.violations;
+  if (key == "violation") {
+    if (violations_left == 0) {
+      return r.fail("violation line outside a declared list");
+    }
+    --violations_left;
+    std::string_view name;
+    return r.fields(&name) &&
+           (failure_class_from_string(name, &all.emplace_back().failure) ||
+            r.malformed("unknown failure class"));
+  }
+  if (key != "vschedule" && key != "vflips" && key != "vstales" &&
+      key != "vnote") {
+    return true;  // unknown keys: skipped (forward compatibility)
+  }
+  if (all.empty()) return r.fail(std::string(key) + " without a violation");
+  ExploreViolation& v = all.back();
+  if (key == "vschedule") {
+    return r.list(&v.schedule) &&
+           (std::ranges::all_of(v.schedule,
+                                [](ProcId p) {
+                                  return p >= 0 && p < kRunnableMaskBits;
+                                }) ||
+            r.malformed("pick out of range"));
+  }
+  if (key == "vflips") return r.list(&v.flips);
+  if (key == "vstales") {
+    return r.list(&v.stales) &&
+           (std::ranges::all_of(v.stales, [](int c) { return c >= 0; }) ||
+            r.malformed("choice out of range"));
+  }
+  v.note = r.rest();
+  return true;
 }
 
 }  // namespace
@@ -72,25 +178,16 @@ std::string serialize_frontier(const Frontier& frontier) {
   out += '\n';
 
   const ExploreStats& s = frontier.stats;
-  append_stat(&out, "executions", s.executions);
-  append_stat(&out, "complete-runs", s.complete_runs);
-  append_stat(&out, "truncated-runs", s.truncated_runs);
-  append_stat(&out, "pruned-runs", s.pruned_runs);
-  append_stat(&out, "states-visited", s.states_visited);
-  append_stat(&out, "states-merged", s.states_merged);
-  append_stat(&out, "sleep-pruned", s.sleep_pruned);
-  append_stat(&out, "sleep-blocked", s.sleep_blocked);
-  append_stat(&out, "coin-branches", s.coin_branches);
-  // Emitted only when nonzero (weakened semantics) to keep atomic-mode
-  // frontier bytes historical.
-  if (s.stale_branches != 0) {
-    append_stat(&out, "stale-branches", s.stale_branches);
+  for (const auto& [name, field] : kStats) {
+    if (field == &ExploreStats::stale_branches && s.stale_branches == 0) {
+      continue;
+    }
+    out += "stat ";
+    out += name;
+    out += ' ';
+    append_u64(&out, s.*field);
+    out += '\n';
   }
-  append_stat(&out, "max-trail-depth", s.max_trail_depth);
-  append_stat(&out, "total-steps", s.total_steps);
-  append_stat(&out, "worker-crashes", s.worker_crashes);
-  append_stat(&out, "cache-evictions", s.cache_evictions);
-  append_stat(&out, "peak-cache-bytes", s.peak_cache_bytes);
   out += "stat digest ";
   append_hex(&out, s.schedule_digest);
   out += '\n';
@@ -195,270 +292,28 @@ std::string serialize_frontier(const Frontier& frontier) {
 
 std::optional<Frontier> parse_frontier(const std::string& text,
                                        std::string* err) {
-  std::istringstream lines(text);
-  std::string line;
-  auto next_line = [&](std::istringstream* out) {
-    if (!std::getline(lines, line)) return false;
-    out->clear();
-    out->str(line);
-    return true;
-  };
-
-  std::istringstream in;
-  if (!next_line(&in)) {
-    fail(err, "empty frontier file");
+  LineReader r(text, "bprc-frontier", err);
+  FrontierReader in;
+  if (!r.header(in.frontier.version)) return std::nullopt;
+  while (r.next_in_body()) {
+    if (!in.read_line(r)) return std::nullopt;
+  }
+  if (r.truncated()) return std::nullopt;
+  if (in.trail_left > 0 || in.violations_left > 0 || in.cache_left > 0) {
+    r.fail_file("section shorter than its declared count");
     return std::nullopt;
   }
-  std::string tag, version;
-  in >> tag >> version;
-  if (tag != "bprc-frontier" || version != "v1") {
-    fail(err, "not a bprc-frontier v1 file");
-    return std::nullopt;
-  }
-
-  Frontier frontier;
-  bool saw_end = false;
-  std::int64_t pending_trail = -1;
-  std::int64_t pending_violations = -1;
-  std::int64_t pending_cache = -1;
-  ExploreViolation* open_violation = nullptr;
-
-  while (next_line(&in)) {
-    std::string key;
-    if (!(in >> key) || key.empty() || key[0] == '#') continue;
-    if (key == "end") {
-      saw_end = true;
-      break;
-    }
-    if (key == "fingerprint") {
-      if (!parse_hex(in, &frontier.fingerprint)) {
-        fail(err, "malformed fingerprint line");
-        return std::nullopt;
-      }
-    } else if (key == "complete") {
-      std::uint64_t v = 0;
-      if (!parse_u64(in, &v)) {
-        fail(err, "malformed complete line");
-        return std::nullopt;
-      }
-      frontier.complete = v != 0;
-    } else if (key == "stat") {
-      std::string name;
-      if (!(in >> name)) {
-        fail(err, "malformed stat line");
-        return std::nullopt;
-      }
-      ExploreStats& s = frontier.stats;
-      bool ok = true;
-      if (name == "executions") ok = parse_u64(in, &s.executions);
-      else if (name == "complete-runs") ok = parse_u64(in, &s.complete_runs);
-      else if (name == "truncated-runs") ok = parse_u64(in, &s.truncated_runs);
-      else if (name == "pruned-runs") ok = parse_u64(in, &s.pruned_runs);
-      else if (name == "states-visited") ok = parse_u64(in, &s.states_visited);
-      else if (name == "states-merged") ok = parse_u64(in, &s.states_merged);
-      else if (name == "sleep-pruned") ok = parse_u64(in, &s.sleep_pruned);
-      else if (name == "sleep-blocked") ok = parse_u64(in, &s.sleep_blocked);
-      else if (name == "coin-branches") ok = parse_u64(in, &s.coin_branches);
-      else if (name == "stale-branches") ok = parse_u64(in, &s.stale_branches);
-      else if (name == "max-trail-depth") ok = parse_u64(in, &s.max_trail_depth);
-      else if (name == "total-steps") ok = parse_u64(in, &s.total_steps);
-      else if (name == "worker-crashes") ok = parse_u64(in, &s.worker_crashes);
-      else if (name == "cache-evictions") ok = parse_u64(in, &s.cache_evictions);
-      else if (name == "peak-cache-bytes") ok = parse_u64(in, &s.peak_cache_bytes);
-      else if (name == "digest") ok = parse_hex(in, &s.schedule_digest);
-      else if (name == "seconds") {
-        std::string tok;
-        ok = static_cast<bool>(in >> tok);
-        if (ok) s.seconds = std::strtod(tok.c_str(), nullptr);
-      }
-      // Unknown stat names are skipped (forward compatibility).
-      if (!ok) {
-        fail(err, "malformed stat " + name);
-        return std::nullopt;
-      }
-    } else if (key == "trail") {
-      if (!parse_i64(in, &pending_trail) || pending_trail < 0) {
-        fail(err, "malformed trail count");
-        return std::nullopt;
-      }
-    } else if (key == "node") {
-      if (pending_trail <= 0) {
-        fail(err, "node line outside a declared trail");
-        return std::nullopt;
-      }
-      --pending_trail;
-      std::string kind;
-      if (!(in >> kind)) {
-        fail(err, "malformed node line");
-        return std::nullopt;
-      }
-      FrontierNode node;
-      if (kind == "c") {
-        node.is_coin = true;
-        std::uint64_t value = 0;
-        std::int64_t taken = 0;
-        if (!parse_u64(in, &value) || !parse_i64(in, &taken)) {
-          fail(err, "malformed coin node");
-          return std::nullopt;
-        }
-        node.coin_value = value != 0;
-        node.taken = static_cast<int>(taken);
-      } else if (kind == "t") {
-        node.is_stale = true;
-        std::int64_t value = 0, options = 0, taken = 0;
-        if (!parse_i64(in, &value) || !parse_i64(in, &options) ||
-            !parse_i64(in, &taken) || value < 0 || options < 2 ||
-            value >= options) {
-          fail(err, "malformed stale node");
-          return std::nullopt;
-        }
-        node.stale_value = static_cast<int>(value);
-        node.stale_options = static_cast<int>(options);
-        node.taken = static_cast<int>(taken);
-      } else if (kind == "s") {
-        std::int64_t chosen = 0, taken = 0, nops = 0;
-        if (!parse_i64(in, &chosen) || !parse_i64(in, &taken) ||
-            !parse_hex(in, &node.candidates) || !parse_hex(in, &node.sleep) ||
-            !parse_i64(in, &nops) || nops < 0 || nops > kRunnableMaskBits) {
-          fail(err, "malformed schedule node");
-          return std::nullopt;
-        }
-        node.chosen = static_cast<ProcId>(chosen);
-        node.taken = static_cast<int>(taken);
-        node.ops.resize(static_cast<std::size_t>(nops));
-        for (OpDesc& op : node.ops) {
-          std::int64_t k = 0, object = 0, payload = 0;
-          if (!parse_i64(in, &k) || !parse_i64(in, &object) ||
-              !parse_i64(in, &payload) || k < 0 || k > 2) {
-            fail(err, "malformed node op");
-            return std::nullopt;
-          }
-          op.kind = static_cast<OpDesc::Kind>(k);
-          op.object = static_cast<int>(object);
-          op.payload = payload;
-        }
-      } else {
-        fail(err, "unknown node kind " + kind);
-        return std::nullopt;
-      }
-      frontier.trail.push_back(std::move(node));
-    } else if (key == "violations") {
-      if (!parse_i64(in, &pending_violations) || pending_violations < 0) {
-        fail(err, "malformed violations count");
-        return std::nullopt;
-      }
-    } else if (key == "violation") {
-      if (pending_violations <= 0) {
-        fail(err, "violation line outside a declared list");
-        return std::nullopt;
-      }
-      --pending_violations;
-      std::string name;
-      if (!(in >> name)) {
-        fail(err, "malformed violation line");
-        return std::nullopt;
-      }
-      ExploreViolation v;
-      v.failure = failure_class_from_string(name);
-      frontier.violations.push_back(std::move(v));
-      open_violation = &frontier.violations.back();
-    } else if (key == "vschedule") {
-      if (open_violation == nullptr) {
-        fail(err, "vschedule without a violation");
-        return std::nullopt;
-      }
-      std::int64_t p = 0;
-      while (parse_i64(in, &p)) {
-        if (p < 0 || p >= kRunnableMaskBits) {
-          fail(err, "vschedule pick out of range");
-          return std::nullopt;
-        }
-        open_violation->schedule.push_back(static_cast<ProcId>(p));
-      }
-    } else if (key == "vflips") {
-      if (open_violation == nullptr) {
-        fail(err, "vflips without a violation");
-        return std::nullopt;
-      }
-      std::uint64_t f = 0;
-      while (parse_u64(in, &f)) {
-        open_violation->flips.push_back(f != 0);
-      }
-    } else if (key == "vstales") {
-      if (open_violation == nullptr) {
-        fail(err, "vstales without a violation");
-        return std::nullopt;
-      }
-      std::int64_t c = 0;
-      while (parse_i64(in, &c)) {
-        if (c < 0) {
-          fail(err, "vstales choice out of range");
-          return std::nullopt;
-        }
-        open_violation->stales.push_back(static_cast<int>(c));
-      }
-    } else if (key == "vnote") {
-      if (open_violation == nullptr) {
-        fail(err, "vnote without a violation");
-        return std::nullopt;
-      }
-      std::string rest;
-      std::getline(in >> std::ws, rest);
-      open_violation->note = rest;
-    } else if (key == "cache") {
-      if (!parse_i64(in, &pending_cache) || pending_cache < 0) {
-        fail(err, "malformed cache count");
-        return std::nullopt;
-      }
-      frontier.cache.reserve(static_cast<std::size_t>(pending_cache));
-    } else if (key == "seen") {
-      if (pending_cache <= 0) {
-        fail(err, "seen line outside a declared cache");
-        return std::nullopt;
-      }
-      --pending_cache;
-      std::uint64_t cache_key = 0;
-      std::uint64_t depth = 0;
-      if (!parse_hex(in, &cache_key) || !parse_u64(in, &depth) || depth > 255) {
-        fail(err, "malformed seen line");
-        return std::nullopt;
-      }
-      frontier.cache.emplace_back(cache_key,
-                                  static_cast<std::uint8_t>(depth));
-    }
-    // Unknown keys are skipped (forward compatibility).
-  }
-
-  if (!saw_end) {
-    fail(err, "missing end marker (truncated frontier?)");
-    return std::nullopt;
-  }
-  if (pending_trail > 0 || pending_violations > 0 || pending_cache > 0) {
-    fail(err, "frontier section shorter than its declared count");
-    return std::nullopt;
-  }
-  frontier.stats.complete = frontier.complete;
-  return frontier;
+  in.frontier.stats.complete = in.frontier.complete;
+  return std::move(in.frontier);
 }
 
 bool save_frontier(const std::string& path, const Frontier& frontier) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  const std::string text = serialize_frontier(frontier);
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  return static_cast<bool>(out.flush());
+  return write_file(path, serialize_frontier(frontier));
 }
 
 std::optional<Frontier> load_frontier(const std::string& path,
                                       std::string* err) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (err != nullptr) *err = "cannot open " + path;
-    return std::nullopt;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_frontier(buf.str(), err);
+  return load_file(path, err, parse_frontier);
 }
 
 }  // namespace bprc::explore

@@ -9,9 +9,9 @@
 // the identical merge decisions, or its digest diverges from the
 // uninterrupted run's).
 //
-// Line-oriented text, in the `.bprc-repro` / `.bprc-shard` tradition —
-// versioned, diffable, `end`-guarded against truncation, unknown keys
-// skipped for forward compatibility:
+// Line-oriented text in the shared line-record grammar
+// (util/line_record.hpp) — versioned, diffable, `end`-guarded against
+// truncation, unknown keys skipped for forward compatibility:
 //
 //   bprc-frontier v1
 //   fingerprint 1f2e3d4c5b6a7988    # fold of target identity + limits +

@@ -1,11 +1,5 @@
 #include "explore/leaf_grader.hpp"
 
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <bit>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -109,75 +103,6 @@ class RecordingFlipTape final : public FlipTape {
   std::size_t pos_ = 0;
 };
 
-// --- pipe wire format for the isolated path (child → parent) ---
-
-void write_all(int fd, const void* data, std::size_t len) {
-  const char* p = static_cast<const char*>(data);
-  while (len > 0) {
-    const ssize_t w = ::write(fd, p, len);
-    if (w <= 0) _exit(3);  // parent treats a short report as a crash
-    p += w;
-    len -= static_cast<std::size_t>(w);
-  }
-}
-
-bool read_all(int fd, void* data, std::size_t len) {
-  char* p = static_cast<char*>(data);
-  while (len > 0) {
-    const ssize_t r = ::read(fd, p, len);
-    if (r <= 0) return false;
-    p += r;
-    len -= static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
-void send_outcome(int fd, const LeafOutcome& out) {
-  write_all(fd, &out.steps, sizeof out.steps);
-  const std::uint8_t flags =
-      static_cast<std::uint8_t>(out.complete ? 1 : 0) |
-      static_cast<std::uint8_t>(out.violation.has_value() ? 2 : 0);
-  write_all(fd, &flags, sizeof flags);
-  const std::uint8_t failure = static_cast<std::uint8_t>(
-      out.violation ? out.violation->failure : FailureClass::kNone);
-  write_all(fd, &failure, sizeof failure);
-  const std::uint32_t note_len = static_cast<std::uint32_t>(
-      out.violation ? out.violation->note.size() : 0);
-  write_all(fd, &note_len, sizeof note_len);
-  if (note_len > 0) write_all(fd, out.violation->note.data(), note_len);
-  const std::uint64_t events_len = out.events.size();
-  write_all(fd, &events_len, sizeof events_len);
-  if (events_len > 0) write_all(fd, out.events.data(), out.events.size());
-}
-
-bool recv_outcome(int fd, LeafOutcome* out) {
-  std::uint8_t flags = 0;
-  std::uint8_t failure = 0;
-  std::uint32_t note_len = 0;
-  std::uint64_t events_len = 0;
-  if (!read_all(fd, &out->steps, sizeof out->steps)) return false;
-  if (!read_all(fd, &flags, sizeof flags)) return false;
-  if (!read_all(fd, &failure, sizeof failure)) return false;
-  if (!read_all(fd, &note_len, sizeof note_len)) return false;
-  if (note_len > (1u << 20)) return false;  // corrupt length = crash
-  std::string note(note_len, '\0');
-  if (note_len > 0 && !read_all(fd, note.data(), note_len)) return false;
-  if (!read_all(fd, &events_len, sizeof events_len)) return false;
-  if (events_len > (1ull << 30)) return false;
-  out->events.resize(static_cast<std::size_t>(events_len));
-  if (events_len > 0 && !read_all(fd, out->events.data(), out->events.size())) {
-    return false;
-  }
-  out->complete = (flags & 1) != 0;
-  if ((flags & 2) != 0) {
-    Violation v;
-    v.failure = static_cast<FailureClass>(failure);
-    v.note = std::move(note);
-    out->violation = std::move(v);
-  }
-  return true;
-}
-
 }  // namespace
 
 std::vector<ProcId> decode_schedule(const std::vector<std::uint8_t>& events) {
@@ -215,52 +140,6 @@ LeafOutcome grade_leaf(ExploreTarget& target, const ExploreLimits& limits,
                "leaf grading run ended for an unexpected reason");
   out.violation = instance->check(rt, run, out.complete);
   return out;  // instance destroyed before the next acquire() re-arms rt
-}
-
-LeafOutcome grade_leaf_isolated(ExploreTarget& target,
-                                const ExploreLimits& limits,
-                                std::uint64_t seed, const LeafSpec& spec) {
-  int fds[2];
-  BPRC_REQUIRE(::pipe(fds) == 0, "pipe() failed for isolated leaf grading");
-  const pid_t pid = ::fork();
-  BPRC_REQUIRE(pid >= 0, "fork() failed for isolated leaf grading");
-  if (pid == 0) {
-    ::close(fds[0]);
-    SimReuse reuse;  // fresh child-side simulator; parent state untouched
-    const LeafOutcome out = grade_leaf(target, limits, seed, spec, reuse);
-    send_outcome(fds[1], out);
-    _exit(0);
-  }
-  ::close(fds[1]);
-  LeafOutcome out;
-  const bool reported = recv_outcome(fds[0], &out);
-  ::close(fds[0]);
-  int status = 0;
-  while (::waitpid(pid, &status, 0) < 0) {
-  }
-  const bool clean = reported && WIFEXITED(status) && WEXITSTATUS(status) == 0;
-  if (clean) return out;
-
-  // The worker died mid-run (or reported garbage): quarantine the leaf.
-  LeafOutcome crash;
-  crash.crashed = true;
-  crash.crash_signal = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
-  crash.events = spec.events;
-  crash.events.push_back(kEventWorkerCrash);
-  crash.steps = spec.steps;
-  Violation v;
-  v.failure = FailureClass::kWorkerCrash;
-  v.note = "leaf grading worker died (";
-  if (WIFSIGNALED(status)) {
-    v.note += "signal " + std::to_string(WTERMSIG(status));
-  } else if (WIFEXITED(status)) {
-    v.note += "exit " + std::to_string(WEXITSTATUS(status));
-  } else {
-    v.note += "unknown";
-  }
-  v.note += ")";
-  crash.violation = std::move(v);
-  return crash;
 }
 
 }  // namespace bprc::explore

@@ -1,7 +1,9 @@
 #include "fault/repro.hpp"
 
-#include <fstream>
+#include <algorithm>
 #include <sstream>
+
+#include "util/line_record.hpp"
 
 namespace bprc::fault {
 
@@ -16,9 +18,108 @@ std::string join_ints(const std::vector<int>& v) {
   return out;
 }
 
-bool fail_with(std::string* err, const std::string& message) {
-  if (err != nullptr) *err = message;
-  return false;
+/// One body line of a `.bprc-repro`. A malformed artifact must be
+/// rejected, never mis-replayed: a schedule line that silently dropped
+/// its tail at a garbage token would replay a *different* run and report
+/// its verdict as if it were the recorded one. Hence every value must
+/// consume its whole token, fixed-arity lines their whole line, and
+/// single-valued sections may appear at most once.
+bool read_line(LineReader& r, Repro* repro) {
+  const std::string_view key = r.key();
+  TortureRun& run = repro->run;
+  std::string_view name;
+  if (key == "plan-crash" || key == "crash") {
+    CrashPlanAdversary::Crash crash{};
+    if (!r.fields(&crash.at_step, &crash.victim)) return false;
+    (key == "crash" ? repro->crashes : run.crash_plan).push_back(crash);
+    return true;
+  }
+  if (key == "protocol") return r.once() && r.fields(&run.protocol);
+  if (key == "inputs") return r.once() && r.list(&run.inputs);
+  if (key == "adversary") return r.once() && r.fields(&run.adversary);
+  if (key == "seed") return r.once() && r.fields(&run.seed);
+  if (key == "max-steps") return r.once() && r.fields(&run.max_steps);
+  if (key == "schedule") return r.once() && r.list(&repro->schedule);
+  if (key == "flips") {
+    return r.once() && (r.list(&repro->flips) || r.malformed("bits only"));
+  }
+  if (key == "stale-reads") {
+    return r.once() && r.list(&repro->stales) &&
+           (std::ranges::all_of(repro->stales, [](int c) { return c >= 0; }) ||
+            r.malformed("choices are >= 0"));
+  }
+  if (key == "failure") {
+    return r.once() && r.fields(&name) &&
+           (failure_class_from_string(name, &repro->failure) ||
+            r.malformed("unknown failure class"));
+  }
+  if (key == "mode") {
+    if (!r.once() || !r.fields(&name)) return false;
+    repro->generative = name == "generative";
+    return repro->generative || r.malformed("unknown replay mode");
+  }
+  if (key == "note") {
+    if (!r.once()) return false;
+    repro->note = r.rest();
+    return true;
+  }
+  if (key == "semantics") {
+    if (!r.once() || !r.fields(&name)) return false;
+    // Reject, never guess: a semantics this build does not know would
+    // silently replay under the wrong register model and report its
+    // verdict as if it were the recorded one.
+    return register_semantics_from_string(name, &run.semantics) ||
+           r.fail("unrecognized register semantics '" + std::string(name) +
+                  "' (this build knows atomic, regular, safe)");
+  }
+  if (key == "space") {
+    // Reject, never guess (the semantics precedent): a malformed budget
+    // silently replaced by the default would replay a different protocol
+    // layout and report its verdict as if it were recorded.
+    if (!r.once()) return false;
+    std::string why;
+    const auto parsed = SpaceBudget::parse(std::string(r.rest()), &why);
+    if (!parsed.has_value()) return r.malformed(why);
+    run.space = *parsed;
+    return true;
+  }
+  return true;  // unknown keys: skipped for forward compatibility
+}
+
+/// Whole-artifact checks, once the body has parsed.
+bool validate(LineReader& r, const Repro& repro) {
+  const int n = repro.run.n();
+  if (repro.run.protocol.empty() || repro.run.inputs.empty() ||
+      repro.run.adversary.empty()) {
+    return r.fail_file("missing protocol, inputs or adversary");
+  }
+  if (repro.run.max_steps == 0) return r.fail_file("missing max-steps");
+  if (n > kRunnableMaskBits) {
+    // Replay depends on the simulator's O(1) runnable digest being
+    // authoritative for every recorded pick; a wider configuration would
+    // replay outside that validated envelope. Refuse loudly instead.
+    return r.fail_file("recorded n=" + std::to_string(n) +
+                       " exceeds this build's runnable-bitmask width (" +
+                       std::to_string(kRunnableMaskBits) +
+                       " processes); cannot replay this artifact");
+  }
+  if (!std::ranges::all_of(repro.schedule,
+                           [n](ProcId p) { return p >= 0 && p < n; })) {
+    return r.fail_file("schedule entry out of range");
+  }
+  for (const auto& crash : repro.crashes) {
+    if (crash.victim < 0 || crash.victim >= n) {
+      return r.fail_file("crash victim out of range");
+    }
+  }
+  if (!repro.stales.empty() &&
+      repro.run.semantics == RegisterSemantics::kAtomic) {
+    // Choices that can never be consumed mean the artifact lost (or never
+    // had) its semantics line — replaying it atomically would not be the
+    // recorded run.
+    return r.fail_file("stale-reads present but semantics is atomic");
+  }
+  return true;
 }
 
 }  // namespace
@@ -66,247 +167,22 @@ std::string serialize_repro(const Repro& repro) {
 }
 
 std::optional<Repro> parse_repro(const std::string& text, std::string* err) {
-  std::istringstream in(text);
-  std::string line;
+  LineReader r(text, "bprc-repro", err);
   Repro repro;
-  std::string dummy;
-  if (err == nullptr) err = &dummy;
-
-  if (!std::getline(in, line) || line.rfind("bprc-repro v", 0) != 0) {
-    fail_with(err, "not a bprc-repro file (missing header)");
-    return std::nullopt;
+  if (!r.header(repro.version)) return std::nullopt;
+  while (r.next_in_body()) {
+    if (!read_line(r, &repro)) return std::nullopt;
   }
-  repro.version = std::atoi(line.c_str() + 12);
-  if (repro.version != 1) {
-    fail_with(err, "unsupported bprc-repro version");
-    return std::nullopt;
-  }
-
-  // A malformed artifact must be rejected, never mis-replayed: a schedule
-  // line that silently dropped its tail at the first garbage token would
-  // replay a *different* run and report its verdict as if it were the
-  // recorded one. Hence: every numeric list must consume its whole line,
-  // and single-valued sections may appear at most once.
-  const auto trailing_garbage = [](std::istringstream& fields) {
-    // operator>> stopped early: failbit without eof means a bad token.
-    return fields.fail() && !fields.eof();
-  };
-  const auto leftover = [](std::istringstream& fields) {
-    // Fixed-arity lines must consume the whole line: "seed 7 oops" (or a
-    // crash line with a third number) is a corrupt or mis-edited
-    // artifact, not a seed of 7.
-    std::string rest;
-    return static_cast<bool>(fields >> rest);
-  };
-  bool saw_protocol = false, saw_inputs = false, saw_adversary = false;
-  bool saw_seed = false, saw_max_steps = false, saw_failure = false;
-  bool saw_schedule = false, saw_flips = false, saw_note = false;
-  bool saw_mode = false, saw_semantics = false, saw_stales = false;
-  bool saw_space = false;
-  const auto duplicate = [&](bool& flag, const char* what) {
-    if (flag) {
-      fail_with(err, std::string("duplicate ") + what + " section");
-      return true;
-    }
-    flag = true;
-    return false;
-  };
-
-  bool saw_end = false;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string key;
-    fields >> key;
-    if (key == "end") {
-      saw_end = true;
-      break;
-    } else if (key == "protocol") {
-      if (duplicate(saw_protocol, "protocol")) return std::nullopt;
-      fields >> repro.run.protocol;
-    } else if (key == "inputs") {
-      if (duplicate(saw_inputs, "inputs")) return std::nullopt;
-      int v = 0;
-      while (fields >> v) repro.run.inputs.push_back(v);
-      if (trailing_garbage(fields)) {
-        fail_with(err, "malformed inputs line: " + line);
-        return std::nullopt;
-      }
-    } else if (key == "adversary") {
-      if (duplicate(saw_adversary, "adversary")) return std::nullopt;
-      fields >> repro.run.adversary;
-    } else if (key == "seed") {
-      if (duplicate(saw_seed, "seed")) return std::nullopt;
-      if (!(fields >> repro.run.seed) || leftover(fields)) {
-        fail_with(err, "malformed seed line: " + line);
-        return std::nullopt;
-      }
-    } else if (key == "max-steps") {
-      if (duplicate(saw_max_steps, "max-steps")) return std::nullopt;
-      if (!(fields >> repro.run.max_steps) || leftover(fields)) {
-        fail_with(err, "malformed max-steps line: " + line);
-        return std::nullopt;
-      }
-    } else if (key == "semantics") {
-      if (duplicate(saw_semantics, "semantics")) return std::nullopt;
-      std::string name;
-      fields >> name;
-      // Reject, never guess: a semantics this build does not know would
-      // silently replay under the wrong register model and report its
-      // verdict as if it were the recorded one.
-      if (!register_semantics_from_string(name, &repro.run.semantics)) {
-        fail_with(err, "unrecognized register semantics '" + name +
-                           "' (this build knows atomic, regular, safe): " +
-                           line);
-        return std::nullopt;
-      }
-      if (leftover(fields)) {
-        fail_with(err, "malformed semantics line: " + line);
-        return std::nullopt;
-      }
-    } else if (key == "space") {
-      if (duplicate(saw_space, "space")) return std::nullopt;
-      std::string rest;
-      std::getline(fields, rest);
-      // Reject, never guess (the semantics precedent): a malformed
-      // budget silently replaced by the default would replay a different
-      // protocol layout and report its verdict as if it were recorded.
-      std::string why;
-      const auto parsed = SpaceBudget::parse(rest, &why);
-      if (!parsed.has_value()) {
-        fail_with(err, "malformed space line (" + why + "): " + line);
-        return std::nullopt;
-      }
-      repro.run.space = *parsed;
-    } else if (key == "stale-reads") {
-      if (duplicate(saw_stales, "stale-reads")) return std::nullopt;
-      int c = 0;
-      while (fields >> c) {
-        if (c < 0) {
-          fail_with(err, "malformed stale-reads line (choices are >= 0): " +
-                             line);
-          return std::nullopt;
-        }
-        repro.stales.push_back(c);
-      }
-      if (trailing_garbage(fields)) {
-        fail_with(err, "malformed stale-reads line: " + line);
-        return std::nullopt;
-      }
-    } else if (key == "failure") {
-      if (duplicate(saw_failure, "failure")) return std::nullopt;
-      std::string name;
-      fields >> name;
-      repro.failure = failure_class_from_string(name);
-    } else if (key == "note") {
-      if (duplicate(saw_note, "note")) return std::nullopt;
-      std::getline(fields, repro.note);
-      if (!repro.note.empty() && repro.note.front() == ' ') {
-        repro.note.erase(repro.note.begin());
-      }
-    } else if (key == "mode") {
-      if (duplicate(saw_mode, "mode")) return std::nullopt;
-      std::string mode;
-      fields >> mode;
-      if (mode != "generative") {
-        fail_with(err, "unknown replay mode: " + line);
-        return std::nullopt;
-      }
-      repro.generative = true;
-    } else if (key == "plan-crash" || key == "crash") {
-      CrashPlanAdversary::Crash crash{};
-      if (!(fields >> crash.at_step >> crash.victim) || leftover(fields)) {
-        fail_with(err, "malformed crash line: " + line);
-        return std::nullopt;
-      }
-      (key == "crash" ? repro.crashes : repro.run.crash_plan).push_back(crash);
-    } else if (key == "flips") {
-      if (duplicate(saw_flips, "flips")) return std::nullopt;
-      int b = 0;
-      while (fields >> b) {
-        if (b != 0 && b != 1) {
-          fail_with(err, "malformed flips line (bits only): " + line);
-          return std::nullopt;
-        }
-        repro.flips.push_back(b == 1);
-      }
-      if (trailing_garbage(fields)) {
-        fail_with(err, "malformed flips line (bits only): " + line);
-        return std::nullopt;
-      }
-    } else if (key == "schedule") {
-      if (duplicate(saw_schedule, "schedule")) return std::nullopt;
-      ProcId p = -1;
-      while (fields >> p) repro.schedule.push_back(p);
-      if (trailing_garbage(fields)) {
-        fail_with(err, "malformed schedule line: " + line);
-        return std::nullopt;
-      }
-    }
-    // Unknown keys: skipped for forward compatibility.
-  }
-
-  if (!saw_end) {
-    fail_with(err, "truncated bprc-repro file (missing 'end')");
-    return std::nullopt;
-  }
-  if (repro.run.protocol.empty() || repro.run.inputs.empty()) {
-    fail_with(err, "bprc-repro file missing protocol or inputs");
-    return std::nullopt;
-  }
-  if (repro.run.max_steps == 0) {
-    fail_with(err, "bprc-repro file missing max-steps");
-    return std::nullopt;
-  }
-  if (repro.run.n() > kRunnableMaskBits) {
-    // Replay depends on the simulator's O(1) runnable digest being
-    // authoritative for every recorded pick; a wider configuration would
-    // replay outside that validated envelope. Refuse loudly instead.
-    fail_with(err, "recorded n=" + std::to_string(repro.run.n()) +
-                       " exceeds this build's runnable-bitmask width (" +
-                       std::to_string(kRunnableMaskBits) +
-                       " processes); cannot replay this artifact");
-    return std::nullopt;
-  }
-  for (const ProcId p : repro.schedule) {
-    if (p < 0 || p >= repro.run.n()) {
-      fail_with(err, "schedule entry out of range");
-      return std::nullopt;
-    }
-  }
-  for (const auto& crash : repro.crashes) {
-    if (crash.victim < 0 || crash.victim >= repro.run.n()) {
-      fail_with(err, "crash victim out of range");
-      return std::nullopt;
-    }
-  }
-  if (!repro.stales.empty() &&
-      repro.run.semantics == RegisterSemantics::kAtomic) {
-    // Choices that can never be consumed mean the artifact lost (or never
-    // had) its semantics line — replaying it atomically would not be the
-    // recorded run.
-    fail_with(err, "stale-reads present but semantics is atomic");
-    return std::nullopt;
-  }
+  if (r.truncated() || !validate(r, repro)) return std::nullopt;
   return repro;
 }
 
 bool save_repro(const std::string& path, const Repro& repro) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << serialize_repro(repro);
-  return static_cast<bool>(out);
+  return write_file(path, serialize_repro(repro));
 }
 
 std::optional<Repro> load_repro(const std::string& path, std::string* err) {
-  std::ifstream in(path);
-  if (!in) {
-    if (err != nullptr) *err = "cannot open " + path;
-    return std::nullopt;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_repro(buffer.str(), err);
+  return load_file(path, err, parse_repro);
 }
 
 ConsensusRunResult replay_repro(const Repro& repro) {

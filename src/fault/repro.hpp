@@ -26,8 +26,10 @@
 //   schedule 0 1 0 1 1 0
 //   end
 //
+// The grammar is the shared line-record one (util/line_record.hpp).
 // Unknown keys are skipped (forward compatibility); `end` guards against
-// truncated files. The optional `flips` line carries the coin-flip prefix
+// truncated files; `protocol`, `inputs`, `adversary` and `max-steps` are
+// required, and a `failure` class this build does not know is refused. The optional `flips` line carries the coin-flip prefix
 // the exploration driver (src/explore/) resolved by hand; replay re-forces
 // it through a ScriptedFlipTape. Artifacts found by random campaigns never
 // need it — their coins re-derive from the seed. `semantics` and

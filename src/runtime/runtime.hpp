@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <exception>
 #include <string>
+#include <string_view>
 
 #include "util/rng.hpp"
 
@@ -50,7 +51,7 @@ inline const char* to_string(RegisterSemantics s) {
 
 /// Parses a semantics name; false on anything unrecognized (artifact
 /// parsers must reject, not guess).
-inline bool register_semantics_from_string(const std::string& name,
+inline bool register_semantics_from_string(std::string_view name,
                                            RegisterSemantics* out) {
   for (const RegisterSemantics s :
        {RegisterSemantics::kAtomic, RegisterSemantics::kRegular,

@@ -1,13 +1,12 @@
 #include "shard/wire.hpp"
 
 #include <cerrno>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include <unistd.h>
 
 #include "util/assert.hpp"
+#include "util/line_record.hpp"
 
 namespace bprc::shard {
 namespace {
@@ -27,7 +26,9 @@ bool write_all(int fd, const char* data, std::size_t len) {
   return true;
 }
 
-bool reason_from_string(const std::string& name, RunResult::Reason* out) {
+constexpr std::string_view kKind = "bprc-shard";
+
+bool reason_from_string(std::string_view name, RunResult::Reason* out) {
   for (const RunResult::Reason r :
        {RunResult::Reason::kAllDone, RunResult::Reason::kBudget,
         RunResult::Reason::kNoRunnable, RunResult::Reason::kDeadline}) {
@@ -39,44 +40,11 @@ bool reason_from_string(const std::string& name, RunResult::Reason* out) {
   return false;
 }
 
-bool class_from_string(const std::string& name, FailureClass* out) {
-  // failure_class_from_string maps unknown names to kNone; distinguish a
-  // genuine "none" from garbage by round-tripping.
-  const FailureClass f = failure_class_from_string(name);
-  if (f == FailureClass::kNone && name != to_string(FailureClass::kNone)) {
-    return false;
-  }
-  *out = f;
+bool read_crash(LineReader& r, std::vector<CrashPlanAdversary::Crash>* out) {
+  CrashPlanAdversary::Crash c{};
+  if (!r.fields(&c.at_step, &c.victim)) return false;
+  out->push_back(c);
   return true;
-}
-
-void set_err(std::string* err, const std::string& what) {
-  if (err != nullptr) *err = what;
-}
-
-/// Line-level parse state shared by parse_record and parse_shard_file.
-struct LineParser {
-  std::istringstream in;
-  std::string line;
-
-  explicit LineParser(const std::string& text) : in(text) {}
-
-  bool next_line() { return static_cast<bool>(std::getline(in, line)); }
-
-  /// True when `line` parsed fully as `key` + the fields the caller
-  /// consumed; callers check fields themselves via this stream.
-  std::istringstream fields_after(const std::string& key) {
-    std::istringstream fields(line);
-    std::string k;
-    fields >> k;
-    BPRC_REQUIRE(k == key, "wire parse state confusion");
-    return fields;
-  }
-};
-
-bool trailing_garbage(std::istringstream& fields) {
-  std::string extra;
-  return static_cast<bool>(fields >> extra);
 }
 
 void emit_vec_line(std::ostringstream& out, const char* key,
@@ -133,135 +101,94 @@ void serialize_failure(std::ostringstream& out, const fault::TortureFailure& f) 
   out << "failure-end\n";
 }
 
-/// Parses the lines after a `failure-begin` up to `failure-end`. The wire
-/// peers are the same binary, so unknown keys are an error, not a skip.
-bool parse_failure(LineParser& p, fault::TortureFailure* f, std::string* err) {
-  while (p.next_line()) {
-    std::istringstream fields(p.line);
-    std::string key;
-    if (!(fields >> key)) continue;  // blank line
-    if (key == "failure-end") return true;
-    bool bad = false;
-    if (key == "protocol") {
-      bad = !(fields >> f->run.protocol) || trailing_garbage(fields);
-    } else if (key == "inputs") {
-      int x = 0;
-      while (fields >> x) f->run.inputs.push_back(x);
-      bad = fields.fail() && !fields.eof();
-    } else if (key == "adversary") {
-      bad = !(fields >> f->run.adversary) || trailing_garbage(fields);
-    } else if (key == "plan-crash") {
-      CrashPlanAdversary::Crash c{};
-      bad = !(fields >> c.at_step >> c.victim) || trailing_garbage(fields);
-      if (!bad) f->run.crash_plan.push_back(c);
-    } else if (key == "seed") {
-      bad = !(fields >> f->run.seed) || trailing_garbage(fields);
-    } else if (key == "max-steps") {
-      bad = !(fields >> f->run.max_steps) || trailing_garbage(fields);
-    } else if (key == "semantics") {
-      std::string name;
-      bad = !(fields >> name) || trailing_garbage(fields) ||
-            !register_semantics_from_string(name, &f->run.semantics);
-    } else if (key == "space") {
-      std::string rest;
-      std::getline(fields, rest);
-      std::string why;
-      const auto parsed = SpaceBudget::parse(rest, &why);
-      bad = !parsed.has_value();
-      if (!bad) f->run.space = *parsed;
-    } else if (key == "stales") {
-      int x = 0;
-      while (fields >> x) f->stales.push_back(x);
-      bad = fields.fail() && !fields.eof();
-    } else if (key == "fail-class") {
-      std::string name;
-      bad = !(fields >> name) || trailing_garbage(fields) ||
-            !class_from_string(name, &f->failure);
-    } else if (key == "fail-reason") {
-      std::string name;
-      bad = !(fields >> name) || trailing_garbage(fields) ||
-            !reason_from_string(name, &f->reason);
-    } else if (key == "schedule") {
-      ProcId x = 0;
-      while (fields >> x) f->schedule.push_back(x);
-      bad = fields.fail() && !fields.eof();
-    } else if (key == "crash") {
-      CrashPlanAdversary::Crash c{};
-      bad = !(fields >> c.at_step >> c.victim) || trailing_garbage(fields);
-      if (!bad) f->crashes.push_back(c);
-    } else if (key == "res-flags") {
-      ConsensusRunResult& r = f->result;
-      bad = !(fields >> r.all_decided >> r.consistent >> r.valid >>
-              r.bounded_ok) ||
-            trailing_garbage(fields);
-    } else if (key == "res-decisions") {
-      int x = 0;
-      while (fields >> x) f->result.decisions.push_back(x);
-      bad = fields.fail() && !fields.eof();
-    } else if (key == "res-rounds") {
-      std::int64_t x = 0;
-      while (fields >> x) f->result.decision_rounds.push_back(x);
-      bad = fields.fail() && !fields.eof();
-    } else if (key == "res-steps") {
-      bad = !(fields >> f->result.total_steps >> f->result.max_proc_steps) ||
-            trailing_garbage(fields);
-    } else if (key == "res-max-round") {
-      bad = !(fields >> f->result.max_round) || trailing_garbage(fields);
-    } else if (key == "res-footprint") {
-      MemoryFootprint& fp = f->result.footprint;
-      bad = !(fields >> fp.bounded >> fp.max_round_stored >> fp.max_counter >>
-              fp.coin_locations >> fp.static_bound) ||
-            trailing_garbage(fields);
-    } else if (key == "res-reason") {
-      std::string name;
-      bad = !(fields >> name) || trailing_garbage(fields) ||
-            !reason_from_string(name, &f->result.reason);
-    } else {
-      set_err(err, "unknown key in failure block: " + key);
-      return false;
-    }
-    if (bad) {
-      set_err(err, "malformed failure line: " + p.line);
-      return false;
-    }
+/// One line of a failure block, other than `failure-end`. The wire peers
+/// are the same binary, so unknown keys are an error, not a skip.
+bool read_failure_line(LineReader& r, fault::TortureFailure* f) {
+  const std::string_view key = r.key();
+  fault::TortureRun& run = f->run;
+  ConsensusRunResult& res = f->result;
+  MemoryFootprint& fp = res.footprint;
+  std::string_view name;
+  if (key == "protocol") return r.fields(&run.protocol);
+  if (key == "inputs") return r.list(&run.inputs);
+  if (key == "adversary") return r.fields(&run.adversary);
+  if (key == "plan-crash") return read_crash(r, &run.crash_plan);
+  if (key == "seed") return r.fields(&run.seed);
+  if (key == "max-steps") return r.fields(&run.max_steps);
+  if (key == "stales") return r.list(&f->stales);
+  if (key == "schedule") return r.list(&f->schedule);
+  if (key == "crash") return read_crash(r, &f->crashes);
+  if (key == "res-decisions") return r.list(&res.decisions);
+  if (key == "res-rounds") return r.list(&res.decision_rounds);
+  if (key == "res-max-round") return r.fields(&res.max_round);
+  if (key == "res-steps") {
+    return r.fields(&res.total_steps, &res.max_proc_steps);
   }
-  set_err(err, "failure block not terminated (missing failure-end)");
-  return false;
+  if (key == "res-flags") {
+    return r.fields(&res.all_decided, &res.consistent, &res.valid,
+                    &res.bounded_ok);
+  }
+  if (key == "res-footprint") {
+    return r.fields(&fp.bounded, &fp.max_round_stored, &fp.max_counter,
+                    &fp.coin_locations, &fp.static_bound);
+  }
+  if (key == "semantics") {
+    return r.fields(&name) &&
+           (register_semantics_from_string(name, &run.semantics) ||
+            r.malformed());
+  }
+  if (key == "fail-class") {
+    return r.fields(&name) &&
+           (failure_class_from_string(name, &f->failure) || r.malformed());
+  }
+  if (key == "fail-reason") {
+    return r.fields(&name) &&
+           (reason_from_string(name, &f->reason) || r.malformed());
+  }
+  if (key == "res-reason") {
+    return r.fields(&name) &&
+           (reason_from_string(name, &res.reason) || r.malformed());
+  }
+  if (key == "space") {
+    std::string why;
+    const auto parsed = SpaceBudget::parse(std::string(r.rest()), &why);
+    if (!parsed.has_value()) return r.malformed(why);
+    run.space = *parsed;
+    return true;
+  }
+  return r.unknown_key();
 }
 
-/// Parses one `outcome ...` line (already in p.line); if a failure block
-/// follows, consumes it too.
-bool parse_record_at(LineParser& p, IndexedRecord* out, std::string* err) {
-  std::istringstream fields = p.fields_after("outcome");
-  fault::OutcomeRecord rec;
-  std::size_t index = 0;
-  std::string reason_name;
-  std::string class_name;
-  if (!(fields >> index >> rec.digest >> rec.steps >> reason_name >>
-        class_name) ||
-      trailing_garbage(fields) ||
-      !reason_from_string(reason_name, &rec.reason) ||
-      !class_from_string(class_name, &rec.failure)) {
-    set_err(err, "malformed outcome line: " + p.line);
+/// Parses the lines after a `failure-begin` up to `failure-end`.
+bool parse_failure(LineReader& r, fault::TortureFailure* f) {
+  while (r.next()) {
+    if (r.key() == "failure-end") {
+      return r.fields() &&
+             ((!f->run.protocol.empty() && !f->run.adversary.empty()) ||
+              r.fail("failure block without protocol or adversary"));
+    }
+    if (!read_failure_line(r, f)) return false;
+  }
+  return r.fail_file("failure block not terminated (missing failure-end)");
+}
+
+/// Parses the current `outcome` line and the failure block that may
+/// follow it, leaving the reader on the first line after the record.
+bool parse_outcome(LineReader& r, IndexedRecord* out) {
+  fault::OutcomeRecord& rec = out->second;
+  std::string_view reason;
+  std::string_view failure;
+  if (!r.fields(&out->first, &rec.digest, &rec.steps, &reason, &failure)) {
     return false;
   }
-  // Peek: does a failure block follow? (Only ever directly after its
-  // outcome line.)
-  const std::streampos before = p.in.tellg();
-  if (p.next_line()) {
-    if (p.line == "failure-begin") {
-      fault::TortureFailure f;
-      if (!parse_failure(p, &f, err)) return false;
-      rec.detail = std::move(f);
-    } else {
-      // Not ours; rewind so the caller sees this line again.
-      p.in.clear();
-      p.in.seekg(before);
-    }
-  } else {
-    p.in.clear();  // EOF right after the outcome line is fine
+  if (!reason_from_string(reason, &rec.reason) ||
+      !failure_class_from_string(failure, &rec.failure)) {
+    return r.malformed();
   }
-  *out = {index, std::move(rec)};
+  // A failure block only ever follows directly after its outcome line.
+  if (!r.next() || r.key() != "failure-begin") return true;
+  if (!parse_failure(r, &rec.detail.emplace())) return false;
+  r.next();
   return true;
 }
 
@@ -309,19 +236,16 @@ std::string serialize_record(std::size_t index,
 
 std::optional<IndexedRecord> parse_record(const std::string& text,
                                           std::string* err) {
-  LineParser p(text);
-  if (!p.next_line() || p.line.rfind("outcome ", 0) != 0) {
-    set_err(err, "record does not start with an outcome line");
+  LineReader r(text, kKind, err);
+  IndexedRecord rec;
+  if (!r.next() || r.key() != "outcome") {
+    r.fail("record does not start with an outcome line");
     return std::nullopt;
   }
-  IndexedRecord rec;
-  if (!parse_record_at(p, &rec, err)) return std::nullopt;
-  // Anything after the record is garbage.
-  while (p.next_line()) {
-    if (!p.line.empty()) {
-      set_err(err, "trailing data after record: " + p.line);
-      return std::nullopt;
-    }
+  if (!parse_outcome(r, &rec)) return std::nullopt;
+  if (!r.key().empty()) {
+    r.fail("trailing data after record");
+    return std::nullopt;
   }
   return rec;
 }
@@ -353,115 +277,66 @@ std::string serialize_shard_file(const ShardFile& shard) {
 
 std::optional<ShardFile> parse_shard_file(const std::string& text,
                                           std::string* err) {
-  LineParser p(text);
+  LineReader r(text, kKind, err);
   ShardFile shard;
-  if (!p.next_line() || p.line != "bprc-shard v1") {
-    set_err(err, "not a bprc-shard v1 file");
-    return std::nullopt;
-  }
+  if (!r.header(1)) return std::nullopt;
   // Fixed header order — this is machine output, not hand-written.
-  const auto header_u64 = [&](const char* key, std::uint64_t* out) {
-    if (!p.next_line()) return false;
-    std::istringstream fields(p.line);
-    std::string k;
-    return static_cast<bool>(fields >> k) && k == key &&
-           static_cast<bool>(fields >> *out) && !trailing_garbage(fields);
+  const auto line = [&](std::string_view key) {
+    return r.next() && r.key() == key;
   };
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
-  bool ok = header_u64("fingerprint", &shard.fingerprint) &&
-            header_u64("total-runs", &shard.total_runs) &&
-            header_u64("max-failures", &shard.max_failures) &&
-            header_u64("skipped-crash-cells", &shard.skipped_crash_cells);
-  if (ok) {
-    ok = p.next_line();
-    // Optional weak-register line between the fixed header and the range
-    // (written only by campaigns that skipped kSafe cells).
-    if (ok && p.line.rfind("skipped-safe-cells", 0) == 0) {
-      std::istringstream fields(p.line);
-      std::string k;
-      ok = static_cast<bool>(fields >> k >> shard.skipped_safe_cells) &&
-           !trailing_garbage(fields);
-      if (ok) ok = p.next_line();
-    }
-    // Optional space-lane line, in the same slot (written only by
-    // campaigns that skipped space-insensitive cells).
-    if (ok && p.line.rfind("skipped-space-cells", 0) == 0) {
-      std::istringstream fields(p.line);
-      std::string k;
-      ok = static_cast<bool>(fields >> k >> shard.skipped_space_cells) &&
-           !trailing_garbage(fields);
-      if (ok) ok = p.next_line();
-    }
-    if (ok) {
-      std::istringstream fields(p.line);
-      std::string k;
-      ok = static_cast<bool>(fields >> k) && k == "range" &&
-           static_cast<bool>(fields >> begin >> end) &&
-           !trailing_garbage(fields) && begin <= end &&
-           end <= shard.total_runs;
-    }
+  bool ok = line("fingerprint") && r.fields(&shard.fingerprint) &&
+            line("total-runs") && r.fields(&shard.total_runs) &&
+            line("max-failures") && r.fields(&shard.max_failures) &&
+            line("skipped-crash-cells") &&
+            r.fields(&shard.skipped_crash_cells) && r.next();
+  // Optional lines between the fixed header and the range, written only
+  // by campaigns that skipped kSafe cells, then space-insensitive cells.
+  if (ok && r.key() == "skipped-safe-cells") {
+    ok = r.fields(&shard.skipped_safe_cells) && r.next();
   }
-  if (!ok) {
-    set_err(err, "malformed shard header at: " + p.line);
+  if (ok && r.key() == "skipped-space-cells") {
+    ok = r.fields(&shard.skipped_space_cells) && r.next();
+  }
+  if (!ok || r.key() != "range" || !r.fields(&shard.begin, &shard.end) ||
+      shard.begin > shard.end || shard.end > shard.total_runs) {
+    r.malformed("shard header");
     return std::nullopt;
   }
-  shard.begin = static_cast<std::size_t>(begin);
-  shard.end = static_cast<std::size_t>(end);
 
-  bool terminated = false;
   std::size_t expect = shard.begin;
-  while (p.next_line()) {
-    if (p.line.empty()) continue;
-    if (p.line == "end") {
-      terminated = true;
-      break;
-    }
-    if (p.line.rfind("outcome ", 0) != 0) {
-      set_err(err, "expected an outcome line, got: " + p.line);
+  r.next();
+  while (r.in_body()) {
+    if (r.key() != "outcome") {
+      r.fail("expected an outcome line, got: " + std::string(r.line()));
       return std::nullopt;
     }
     IndexedRecord rec;
-    if (!parse_record_at(p, &rec, err)) return std::nullopt;
+    if (!parse_outcome(r, &rec)) return std::nullopt;
     if (rec.first != expect) {
-      set_err(err, "record index " + std::to_string(rec.first) +
-                       " out of order (expected " + std::to_string(expect) +
-                       ")");
+      r.fail_file("record index " + std::to_string(rec.first) +
+                  " out of order (expected " + std::to_string(expect) + ")");
       return std::nullopt;
     }
     ++expect;
     shard.records.push_back(std::move(rec));
   }
-  if (!terminated) {
-    set_err(err, "shard file truncated (missing end marker)");
-    return std::nullopt;
-  }
+  if (r.truncated()) return std::nullopt;
   if (expect != shard.end) {
-    set_err(err, "shard covers [" + std::to_string(shard.begin) + ", " +
-                     std::to_string(shard.end) + ") but has records up to " +
-                     std::to_string(expect));
+    r.fail_file("shard covers [" + std::to_string(shard.begin) + ", " +
+                std::to_string(shard.end) + ") but has records up to " +
+                std::to_string(expect));
     return std::nullopt;
   }
   return shard;
 }
 
 bool save_shard_file(const std::string& path, const ShardFile& shard) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << serialize_shard_file(shard);
-  return static_cast<bool>(out.flush());
+  return write_file(path, serialize_shard_file(shard));
 }
 
 std::optional<ShardFile> load_shard_file(const std::string& path,
                                          std::string* err) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    set_err(err, "cannot open shard file: " + path);
-    return std::nullopt;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parse_shard_file(text.str(), err);
+  return load_file(path, err, parse_shard_file);
 }
 
 }  // namespace bprc::shard

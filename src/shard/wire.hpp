@@ -15,7 +15,10 @@
 //     `outcome` line per executed spec index carrying the per-run digest
 //     and classification, plus — for failures only — an embedded block
 //     with the full recorded trace, so the merge side can shrink and
-//     persist artifacts without re-executing anything.
+//     persist artifacts without re-executing anything. Records and
+//     `.bprc-shard` files are read with the shared line-record codec
+//     (util/line_record.hpp); unknown keys are refused, since both ends
+//     are the same binary.
 //
 // A shard never ships raw schedules for passing runs: the campaign
 // digest is a chain of per-run digests (fault::outcome_digest), so 8

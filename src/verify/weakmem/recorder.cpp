@@ -1,12 +1,15 @@
 #include "verify/weakmem/recorder.hpp"
 
-#include <fstream>
 #include <sstream>
+
+#include "util/line_record.hpp"
 
 namespace bprc::weakmem {
 
 namespace {
-constexpr const char* kHeader = "bprc-weakmem v1";
+
+constexpr std::string_view kKind = "bprc-weakmem";
+constexpr std::size_t kMaxThreads = 4096;
 
 char kind_char(MemAction::Kind k) {
   switch (k) {
@@ -25,12 +28,64 @@ bool kind_from_char(char c, MemAction::Kind& out) {
     default:  return false;
   }
 }
+
+bool read_action(LineReader& r, Recording* rec) {
+  MemAction a;
+  std::string_view kind;
+  if (!r.fields(&a.thread, &a.seq, &a.location, &kind, &a.order, &a.value,
+                &a.rf, &a.mo)) {
+    return false;
+  }
+  if (kind.size() != 1 || !kind_from_char(kind[0], a.kind)) {
+    return r.malformed("kind is L, S or R");
+  }
+  if (a.thread < 0 || static_cast<std::size_t>(a.thread) >= rec->logs.size()) {
+    return r.malformed("thread out of range");
+  }
+  rec->logs[static_cast<std::size_t>(a.thread)].push_back(a);
+  return true;
+}
+
+/// One body line; unknown keys are refused rather than misparsed.
+bool read_line(LineReader& r, Recording* rec, std::size_t* locations,
+               std::size_t* actions) {
+  const std::string_view key = r.key();
+  if (key == "act") return read_action(r, rec);
+  if (key == "loc") {
+    std::size_t id = 0;
+    Recording::Location loc;
+    if (!r.take(&id) || !r.take(&loc.initial)) return r.malformed();
+    if (id != rec->locations.size()) return r.malformed("ids run 0, 1, ...");
+    loc.name = r.rest();
+    rec->locations.push_back(std::move(loc));
+    return true;
+  }
+  if (key == "case") {
+    if (!r.once() || !r.fields(&rec->case_name)) return false;
+    if (rec->case_name == "-") rec->case_name.clear();
+    return true;
+  }
+  if (key == "threads") {
+    std::size_t k = 0;
+    if (!r.once() || !r.fields(&k)) return false;
+    if (k > kMaxThreads) return r.malformed("more than 4096 threads");
+    rec->logs.resize(k);
+    return true;
+  }
+  if (key == "locations") {
+    if (!r.once() || !r.count(locations)) return false;
+    rec->locations.reserve(*locations);
+    return true;
+  }
+  if (key == "actions") return r.once() && r.count(actions);
+  return r.unknown_key();
+}
+
 }  // namespace
 
-bool save_recording(const Recording& rec, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << kHeader << "\n";
+std::string serialize_recording(const Recording& rec) {
+  std::ostringstream out;
+  out << kKind << " v1\n";
   out << "case " << (rec.case_name.empty() ? "-" : rec.case_name) << "\n";
   out << "threads " << rec.logs.size() << "\n";
   out << "locations " << rec.locations.size() << "\n";
@@ -47,77 +102,43 @@ bool save_recording(const Recording& rec, const std::string& path) {
     }
   }
   out << "end\n";
-  return static_cast<bool>(out);
+  return out.str();
 }
 
-std::optional<Recording> load_recording(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::string line;
-  if (!std::getline(in, line) || line != kHeader) return std::nullopt;
-
+std::optional<Recording> parse_recording(const std::string& text,
+                                         std::string* err) {
+  LineReader r(text, kKind, err);
+  if (!r.header(1)) return std::nullopt;
   Recording rec;
-  std::size_t expected_actions = 0;
-  bool saw_end = false;
-  while (std::getline(in, line)) {
-    std::istringstream ss(line);
-    std::string tag;
-    ss >> tag;
-    if (tag.empty()) continue;
-    if (tag == "case") {
-      ss >> rec.case_name;
-      if (rec.case_name == "-") rec.case_name.clear();
-    } else if (tag == "threads") {
-      std::size_t k = 0;
-      if (!(ss >> k) || k > 4096) return std::nullopt;
-      rec.logs.resize(k);
-    } else if (tag == "locations") {
-      std::size_t m = 0;
-      if (!(ss >> m)) return std::nullopt;
-      rec.locations.reserve(m);
-    } else if (tag == "loc") {
-      std::size_t id = 0;
-      Recording::Location loc;
-      if (!(ss >> id >> loc.initial)) return std::nullopt;
-      std::getline(ss, loc.name);
-      if (!loc.name.empty() && loc.name.front() == ' ') loc.name.erase(0, 1);
-      if (id != rec.locations.size()) return std::nullopt;
-      rec.locations.push_back(std::move(loc));
-    } else if (tag == "actions") {
-      if (!(ss >> expected_actions)) return std::nullopt;
-    } else if (tag == "act") {
-      MemAction a;
-      int order = 0;
-      char kind = '?';
-      if (!(ss >> a.thread >> a.seq >> a.location >> kind >> order >>
-            a.value >> a.rf >> a.mo)) {
-        return std::nullopt;
-      }
-      if (!kind_from_char(kind, a.kind)) return std::nullopt;
-      if (a.thread < 0 ||
-          static_cast<std::size_t>(a.thread) >= rec.logs.size()) {
-        return std::nullopt;
-      }
-      a.order = static_cast<std::uint8_t>(order);
-      rec.logs[static_cast<std::size_t>(a.thread)].push_back(a);
-    } else if (tag == "end") {
-      saw_end = true;
-      break;
-    } else {
-      return std::nullopt;  // unknown tag: refuse rather than misparse
-    }
+  std::size_t locations = 0;
+  std::size_t actions = 0;
+  while (r.next_in_body()) {
+    if (!read_line(r, &rec, &locations, &actions)) return std::nullopt;
   }
-  if (!saw_end || rec.total_actions() != expected_actions) {
+  if (r.truncated()) return std::nullopt;
+  if (rec.locations.size() != locations || rec.total_actions() != actions) {
+    r.fail_file("declared " + std::to_string(locations) + " locations and " +
+                std::to_string(actions) + " actions, found " +
+                std::to_string(rec.locations.size()) + " and " +
+                std::to_string(rec.total_actions()));
     return std::nullopt;
   }
   return rec;
 }
 
+bool save_recording(const Recording& rec, const std::string& path) {
+  return write_file(path, serialize_recording(rec));
+}
+
+std::optional<Recording> load_recording(const std::string& path,
+                                        std::string* err) {
+  return load_file(path, err, parse_recording);
+}
+
 bool is_weakmem_artifact(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  return std::getline(in, line) && line == kHeader;
+  std::string text;
+  return read_file(path, &text, nullptr) &&
+         LineReader(text, kKind, nullptr).header(1);
 }
 
 }  // namespace bprc::weakmem

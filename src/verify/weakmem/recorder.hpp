@@ -75,12 +75,32 @@ class WeakMemRecorder final : public MemActionSink {
   Recording rec_;
 };
 
-/// Writes `rec` as a `.bprc-weakmem` v1 artifact (line-oriented text).
-/// Returns false on I/O failure.
-bool save_recording(const Recording& rec, const std::string& path);
+/// `rec` as a `.bprc-weakmem` v1 artifact (line-oriented text, the
+/// grammar of util/line_record.hpp):
+///
+///   bprc-weakmem v1
+///   case broken-relaxed            # `-` when unnamed
+///   threads 2
+///   locations 2
+///   loc 0 0 x                      # id initial name (rest of the line)
+///   actions 1
+///   act 0 0 0 S 0 1 0 1            # thread seq location L|S|R order
+///                                  # value rf mo
+///   end
+///
+/// Unknown keys are refused, and the declared location and action counts
+/// must match the lines that follow.
+std::string serialize_recording(const Recording& rec);
 
-/// Parses a `.bprc-weakmem` artifact; nullopt on malformed input.
-std::optional<Recording> load_recording(const std::string& path);
+/// Parses serialize_recording output; nullopt + `err` on malformed input
+/// (user-supplied files must not abort the process).
+std::optional<Recording> parse_recording(const std::string& text,
+                                         std::string* err);
+
+/// File wrappers. save returns false on I/O failure.
+bool save_recording(const Recording& rec, const std::string& path);
+std::optional<Recording> load_recording(const std::string& path,
+                                        std::string* err = nullptr);
 
 /// True if the file at `path` starts with the weakmem artifact header
 /// (used by bprc_torture --replay to dispatch on artifact kind).

@@ -304,6 +304,27 @@ TEST(FrontierTest, UnknownKeysAreSkippedForForwardCompat) {
   EXPECT_EQ(parsed->fingerprint, 7u);
 }
 
+TEST(FrontierTest, HugeDeclaredCacheCountIsRefused) {
+  // The count is untrusted input: reserving it would abort the resume
+  // (std::length_error) instead of refusing the file.
+  std::string text = serialize_frontier(Frontier{});
+  text.replace(text.find("cache 0"), 7, "cache 999999999999999999");
+  std::string err;
+  EXPECT_FALSE(parse_frontier(text, &err).has_value());
+  EXPECT_NE(err.find("declared count"), std::string::npos) << err;
+}
+
+TEST(FrontierTest, UnknownViolationClassIsRefused) {
+  Frontier f;
+  f.violations.push_back({FailureClass::kConsistency, "n", {0}, {}, {}});
+  std::string text = serialize_frontier(f);
+  text.replace(text.find("violation consistency"), 21,
+               "violation consistensy");
+  std::string err;
+  EXPECT_FALSE(parse_frontier(text, &err).has_value());
+  EXPECT_NE(err.find("unknown failure class"), std::string::npos) << err;
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint / resume: the resumed digest is the uninterrupted digest
 // ---------------------------------------------------------------------------

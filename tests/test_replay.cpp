@@ -403,6 +403,14 @@ TEST(Repro, UnknownModeAndVersionAreRejected) {
   EXPECT_NE(err.find("unsupported"), std::string::npos) << err;
 }
 
+TEST(Repro, UnknownFailureClassIsRejected) {
+  // A typo must not load as `none` and then report "DID NOT REPRODUCE".
+  std::string text(kGoodRepro);
+  text.replace(text.find("failure consistency"), 19, "failure consistensy");
+  const std::string err = expect_rejected(text);
+  EXPECT_NE(err.find("unknown failure class"), std::string::npos) << err;
+}
+
 // ---- weak register semantics ----------------------------------------------
 //
 // The weak-register lane (docs/REGISTER_SEMANTICS.md): campaigns under

@@ -1,10 +1,12 @@
-// Unit tests for src/util: PRNG, statistics, table rendering, env knobs.
+// Unit tests for src/util: PRNG, statistics, table rendering, env knobs,
+// the line-record codec.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <set>
 
 #include "util/env.hpp"
+#include "util/line_record.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -238,6 +240,85 @@ TEST(Env, UnparseableValueAborts) {
   setenv("BPRC_TEST_ENV_INT", "999999999999999999999", 1);  // out of range
   EXPECT_DEATH(env_int("BPRC_TEST_ENV_INT", 5), "not a valid integer");
   unsetenv("BPRC_TEST_ENV_INT");
+}
+
+TEST(LineReader, HeaderBodyAndEndGuard) {
+  const std::string text =
+      "bprc-test v1\n\n# comment\nseed 7\n  name a b  \nend\ntrailing\n";
+  std::string err;
+  LineReader r(text, "bprc-test", &err);
+  ASSERT_TRUE(r.header(1)) << err;
+  ASSERT_TRUE(r.next_in_body());
+  std::uint64_t seed = 0;
+  EXPECT_EQ(r.key(), "seed");
+  EXPECT_TRUE(r.fields(&seed));
+  EXPECT_EQ(seed, 7u);
+  ASSERT_TRUE(r.next_in_body());
+  EXPECT_EQ(r.key(), "name");
+  EXPECT_EQ(r.rest(), "a b  ");
+  EXPECT_FALSE(r.next_in_body());  // stops at `end`
+  EXPECT_FALSE(r.truncated());
+}
+
+TEST(LineReader, DiagnosticsShareOneForm) {
+  std::string err;
+  LineReader wrong("bprc-other v1\n", "bprc-test", &err);
+  EXPECT_FALSE(wrong.header(1));
+  EXPECT_EQ(err, "bprc-test: not a bprc-test file (missing header)");
+  LineReader version("bprc-test v2\n", "bprc-test", &err);
+  EXPECT_FALSE(version.header(1));
+  EXPECT_EQ(err, "bprc-test:1: unsupported bprc-test version: bprc-test v2");
+
+  LineReader r("bprc-test v1\nseed 7 oops\nseed 8\n", "bprc-test", &err);
+  ASSERT_TRUE(r.header(1));
+  ASSERT_TRUE(r.next_in_body());
+  std::uint64_t seed = 0;
+  EXPECT_TRUE(r.once());
+  EXPECT_FALSE(r.fields(&seed));
+  EXPECT_EQ(err, "bprc-test:2: malformed seed line: seed 7 oops");
+  ASSERT_TRUE(r.next_in_body());
+  EXPECT_FALSE(r.once());
+  EXPECT_EQ(err, "bprc-test:3: duplicate seed line");
+  EXPECT_FALSE(r.next_in_body());
+  EXPECT_TRUE(r.truncated());
+  EXPECT_EQ(err, "bprc-test: truncated bprc-test file (missing 'end')");
+}
+
+TEST(LineReader, NumbersMustBeWholeAndInRange) {
+  const auto parses = [](const char* token, auto value) {
+    const std::string text = std::string("k ") + token + "\n";
+    LineReader r(text, "bprc-test", nullptr);
+    return r.next() && r.fields(&value);
+  };
+  EXPECT_TRUE(parses("18446744073709551615", std::uint64_t{0}));
+  EXPECT_FALSE(parses("18446744073709551616", std::uint64_t{0}));
+  EXPECT_FALSE(parses("-1", std::uint64_t{0}));
+  EXPECT_TRUE(parses("-1", int{0}));
+  EXPECT_FALSE(parses("2147483648", int{0}));
+  EXPECT_FALSE(parses("256", std::uint8_t{0}));
+  EXPECT_FALSE(parses("7x", int{0}));
+  EXPECT_FALSE(parses("1e6", std::uint64_t{0}));
+  EXPECT_TRUE(parses("1e6", double{0}));
+  EXPECT_FALSE(parses("2", false));
+
+  std::uint64_t hex = 0;
+  LineReader r("k 1f2E\n", "bprc-test", nullptr);
+  ASSERT_TRUE(r.next());
+  EXPECT_TRUE(r.fields(LineReader::Hex{&hex}));
+  EXPECT_EQ(hex, 0x1f2eu);
+}
+
+TEST(LineReader, CountsCannotOutrunTheInput) {
+  std::string err;
+  LineReader r("n 3\na\nb\nn 4\nc\n", "bprc-test", &err);
+  std::size_t n = 0;
+  ASSERT_TRUE(r.next());
+  EXPECT_TRUE(r.count(&n));
+  r.next();
+  r.next();
+  ASSERT_TRUE(r.next());
+  EXPECT_FALSE(r.count(&n));
+  EXPECT_NE(err.find("declared count 4 exceeds"), std::string::npos) << err;
 }
 
 }  // namespace

@@ -179,6 +179,22 @@ TEST(WeakMem, LoadRejectsGarbage) {
   std::remove(path.c_str());
 }
 
+TEST(WeakMem, HugeDeclaredLocationCountIsRefused) {
+  // The count is untrusted input: reserving it would abort the replay
+  // (std::bad_alloc) instead of refusing the file.
+  const std::string path = testing::TempDir() + "weakmem_huge.bprc-weakmem";
+  {
+    FILE* f = fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    fputs("bprc-weakmem v1\ncase -\nthreads 1\nlocations 99999999999999999\n"
+          "actions 0\nend\n",
+          f);
+    fclose(f);
+  }
+  EXPECT_FALSE(load_recording(path).has_value());
+  std::remove(path.c_str());
+}
+
 TEST(WeakMem, DescribeActionIsReadable) {
   WeakMemRecorder rec(1);
   const int x = rec.on_location("x", 0);

@@ -418,10 +418,10 @@ std::vector<std::string> process_failures(const Options& opt,
 /// on the recorded execution. Exit 0 = the recording is SC (nothing to
 /// reproduce); 1 = the non-SC verdict reproduces, witness printed.
 int run_weakmem_replay(const std::string& path) {
-  const auto rec = weakmem::load_recording(path);
+  std::string err;
+  const auto rec = weakmem::load_recording(path, &err);
   if (!rec) {
-    std::fprintf(stderr, "bprc_torture: %s: malformed weakmem artifact\n",
-                 path.c_str());
+    std::fprintf(stderr, "bprc_torture: %s: %s\n", path.c_str(), err.c_str());
     return 2;
   }
   const weakmem::SCResult res = weakmem::check_sc(*rec);
