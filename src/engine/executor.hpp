@@ -17,6 +17,21 @@
 //   * bounded memory: at most `window` specs are in flight, so a
 //     million-trial campaign never materializes a million outcomes.
 //
+// The default window is 64 × jobs specs. Run lengths are heavy-tailed:
+// in one n=8 bprc campaign cell (`bprc_torture --protocol bprc --n 8
+// --seeds 16 --seed 7`) the median run takes 10.4k steps, the p99 235k
+// and the longest 432k. A long run at the front of the window blocks
+// delivery, so the other workers can only run the specs behind it. At
+// 4 × jobs (16 specs at jobs=4) they filled those slots and slept: the
+// traced campaign-n8 benchmark read an engine busy share of 0.83-0.84,
+// and `--jobs 4` kept 1.9 of 4 cores busy. At 64 × jobs the share is
+// 0.97 (4-vCPU VM, perfbench --trace 1, two 20 s runs per side).
+// A wide window is only cheap if what waits in it is small, so sweeps
+// reduce each outcome on the worker before it reaches the window: the
+// campaign's execute stage turns a trial into its 8-byte-digest
+// OutcomeRecord there (fault::execute_runs), and a passing run's
+// recorded schedule never waits for delivery.
+//
 // jobs <= 1 runs the exact serial path of the pre-engine harnesses: no
 // threads are spawned, the generator/executor/sink alternate on the
 // calling thread with one calling-thread SimReuse. Replay tooling must
@@ -48,20 +63,26 @@ inline unsigned default_jobs() {
   return hw == 0 ? 1 : hw;
 }
 
+/// Default in-flight specs per worker (see the header comment).
+inline constexpr std::size_t kWindowPerJob = 64;
+
 struct ExecutorConfig {
   unsigned jobs = 0;       ///< worker threads; 0 = default_jobs(), 1 = serial
-  std::size_t window = 0;  ///< max specs in flight; 0 = 4 * jobs
+  std::size_t window = 0;  ///< max specs in flight; 0 = kWindowPerJob * jobs
 };
 
 class TrialExecutor {
  public:
   explicit TrialExecutor(ExecutorConfig config = {}) : config_(config) {
     if (config_.jobs == 0) config_.jobs = default_jobs();
-    if (config_.window == 0) config_.window = 4 * config_.jobs;
+    if (config_.window == 0) config_.window = kWindowPerJob * config_.jobs;
     if (config_.window < config_.jobs) config_.window = config_.jobs;
   }
 
   unsigned jobs() const { return config_.jobs; }
+  /// Max specs in flight: how far generation may run ahead of delivery,
+  /// and so how many undelivered specs an early stop can leave behind.
+  std::size_t window() const { return config_.window; }
 
   /// Generic ordered sweep: `next` yields specs (nullopt = end of
   /// stream), `execute` runs one spec on a worker (its thread-pinned
@@ -101,36 +122,11 @@ class TrialExecutor {
         sink);
   }
 
-  /// Index-range sweep with resume: executes `spec_at(i)` for every i in
-  /// [begin, end), delivering outcomes to the sink keyed by the *global*
-  /// index i, in order. Because a sweep's matrix is enumerated up front
-  /// and specs are pure functions of their index, any sub-range is
-  /// independently executable — this is the primitive the shard layer
-  /// (src/shard/) builds on: shard i/k runs one contiguous range, and a
-  /// respawned worker resumes from its predecessor's first undelivered
-  /// index with nothing lost and nothing repeated.
-  void run_trials_range(
-      const std::function<TrialSpec(std::size_t)>& spec_at, std::size_t begin,
-      std::size_t end,
-      const std::function<bool(std::size_t, const TrialSpec&, TrialOutcome&&)>&
-          sink) const {
-    std::size_t next = begin;
-    run_trials(
-        [&]() -> std::optional<TrialSpec> {
-          if (next >= end) return std::nullopt;
-          return spec_at(next++);
-        },
-        [&](std::size_t local, const TrialSpec& spec, TrialOutcome&& out) {
-          return sink(begin + local, spec, std::move(out));
-        });
-  }
-
  private:
   template <typename Spec, typename Outcome>
   struct Slot {
     Spec spec;
     std::optional<Outcome> outcome;
-    bool taken = false;  ///< a worker is executing it
   };
 
   template <typename Spec, typename Outcome>
@@ -147,8 +143,13 @@ class TrialExecutor {
     // the unlocked execute stage.
     std::deque<S> window;
     std::size_t window_base = 0;  ///< generation index of window.front()
-    bool exhausted = false;       ///< generator returned nullopt
-    bool stop = false;            ///< sink requested stop
+    /// Generation index of the next spec to claim. Claims go in
+    /// generation order and a slot leaves the window only after it was
+    /// claimed and completed, so window_base <= next_claim and every slot
+    /// before next_claim is taken.
+    std::size_t next_claim = 0;
+    bool exhausted = false;  ///< generator returned nullopt
+    bool stop = false;       ///< sink requested stop
 
     auto worker = [&] {
       SimReuse reuse;  // pinned to this worker thread for its lifetime
@@ -157,20 +158,14 @@ class TrialExecutor {
         if (stop) return;
 
         // Claim the oldest unexecuted spec, if any.
-        S* claimed = nullptr;
-        for (S& slot : window) {
-          if (!slot.taken && !slot.outcome.has_value()) {
-            slot.taken = true;
-            claimed = &slot;
-            break;
-          }
-        }
-        if (claimed != nullptr) {
+        if (next_claim < window_base + window.size()) {
+          S& claimed = window[next_claim - window_base];
+          ++next_claim;
           lk.unlock();
-          Outcome out = execute(claimed->spec, reuse);
+          Outcome out = execute(claimed.spec, reuse);
           lk.lock();
           if (stop) return;
-          claimed->outcome.emplace(std::move(out));
+          claimed.outcome.emplace(std::move(out));
           // Deliver the completed prefix in order. Only the thread that
           // just completed a slot drains, and it drains under the lock,
           // so the sink is never entered concurrently.
@@ -193,7 +188,7 @@ class TrialExecutor {
           if (!spec.has_value()) {
             exhausted = true;
           } else {
-            window.push_back(S{std::move(*spec), std::nullopt, false});
+            window.push_back(S{std::move(*spec), std::nullopt});
           }
           cv.notify_all();
           continue;

@@ -65,9 +65,9 @@ TrialOutcome run_trial(const TrialSpec& spec, SimReuse* reuse) {
         spec.factory, spec.inputs,
         std::make_unique<BorrowedAdversary>(recording), spec.seed,
         spec.max_steps, spec.deadline, reuse, flips, spec.semantics);
-    out.schedule = recording.script();
-    out.crashes = recording.crashes();
-    out.stales = recording.stales();
+    out.schedule = recording.take_script();
+    out.crashes = recording.take_crashes();
+    out.stales = recording.take_stales();
   } else {
     out.result =
         run_consensus_sim(spec.factory, spec.inputs, std::move(adv), spec.seed,

@@ -89,10 +89,7 @@ class ConsensusTarget final : public ExploreTarget {
 
 std::uint64_t consensus_target_fingerprint(
     const ConsensusExploreConfig& config) {
-  std::uint64_t h = kFnvOffset;
-  for (const char c : config.protocol) {
-    h = fnv_mix(h, static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
-  }
+  std::uint64_t h = fnv_mix_string(kFnvOffset, config.protocol);
   h = fnv_mix(h, config.inputs.size());
   for (const int input : config.inputs) {
     h = fnv_mix(h, static_cast<std::uint64_t>(input) + 1);

@@ -37,23 +37,13 @@
 
 #include "consensus/driver.hpp"
 #include "runtime/runtime.hpp"
+#include "util/fnv.hpp"
 
 namespace bprc {
 
 class SimRuntime;
 
 namespace explore {
-
-inline constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
-inline constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
-
-/// FNV-1a fold — the same digest family test_replay.cpp pins schedules
-/// with, so explorer digests and golden schedule hashes stay comparable.
-inline std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= kFnvPrime;
-  return h;
-}
 
 /// Scope and safety-valve bounds for one exploration.
 struct ExploreLimits {

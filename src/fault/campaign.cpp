@@ -7,6 +7,7 @@
 #include "engine/executor.hpp"
 #include "fault/protocols.hpp"
 #include "util/assert.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace bprc::fault {
@@ -91,17 +92,6 @@ std::vector<CrashPlanAdversary::Crash> seeded_crash_plan(Rng& rng, int n) {
   std::sort(plan.begin(), plan.end(),
             [](const auto& a, const auto& b) { return a.at_step < b.at_step; });
   return plan;
-}
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= 0x100000001B3ULL;
-  return h;
-}
-
-std::uint64_t fnv_mix_string(std::uint64_t h, const std::string& s) {
-  for (const char c : s) h = fnv_mix(h, static_cast<unsigned char>(c));
-  return h;
 }
 
 }  // namespace
@@ -207,7 +197,7 @@ std::vector<TortureRun> enumerate_campaign_runs(
 }
 
 std::uint64_t outcome_digest(const engine::TrialOutcome& out) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::uint64_t h = kFnvOffset;
   for (const ProcId p : out.schedule) {
     h = fnv_mix(h, static_cast<std::uint64_t>(p));
   }
@@ -233,13 +223,13 @@ std::uint64_t quarantined_digest() {
   // as the failure class: no schedule, no crashes, no decisions, zero
   // steps. Any coordinator that quarantines the same index folds the
   // same value.
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::uint64_t h = kFnvOffset;
   h = fnv_mix(h, 0);  // total_steps
   h = fnv_mix(h, static_cast<std::uint64_t>(FailureClass::kWorkerCrash));
   return h;
 }
 
-OutcomeRecord make_outcome_record(TortureRun&& run,
+OutcomeRecord make_outcome_record(const TortureRun& run,
                                   engine::TrialOutcome&& out) {
   OutcomeRecord record;
   record.digest = outcome_digest(out);
@@ -262,7 +252,7 @@ OutcomeRecord make_outcome_record(TortureRun&& run,
   }
   if (record.failure != FailureClass::kNone) {
     TortureFailure failure;
-    failure.run = std::move(run);
+    failure.run = run;
     failure.failure = out.result.failure();
     failure.reason = out.result.reason;
     failure.schedule = std::move(out.schedule);
@@ -298,7 +288,7 @@ bool fold_outcome_record(CampaignReport& report, OutcomeRecord&& record,
 
 std::uint64_t campaign_matrix_fingerprint(
     const CampaignConfig& config, const std::vector<TortureRun>& runs) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::uint64_t h = kFnvOffset;
   h = fnv_mix(h, runs.size());
   h = fnv_mix(h, config.max_failures);
   h = fnv_mix(h, static_cast<std::uint64_t>(config.run_deadline.count()));
@@ -331,35 +321,51 @@ std::uint64_t campaign_matrix_fingerprint(
   return h;
 }
 
+void execute_runs(const std::vector<TortureRun>& runs, std::size_t begin,
+                  std::size_t end, std::chrono::nanoseconds deadline,
+                  unsigned jobs, const RecordedRunSink& sink) {
+  struct Executed {
+    ConsensusRunResult result;  ///< what the RunObserver reads
+    OutcomeRecord record;
+  };
+  std::size_t next = begin;
+  const engine::TrialExecutor executor({jobs, 0});
+  executor.run_ordered<std::size_t, Executed>(
+      [&]() -> std::optional<std::size_t> {
+        if (next >= end) return std::nullopt;
+        return next++;
+      },
+      [&](const std::size_t& index, SimReuse& reuse) {
+        const TortureRun& run = runs[index];
+        engine::TrialOutcome out = engine::run_trial(
+            to_trial_spec(run, deadline, /*record=*/true), &reuse);
+        Executed done;
+        done.result = out.result;
+        done.record = make_outcome_record(run, std::move(out));
+        return done;
+      },
+      [&](std::size_t, const std::size_t& index, Executed&& done) {
+        return sink(index, done.result, std::move(done.record));
+      });
+}
+
 CampaignReport run_campaign(const CampaignConfig& config,
                             const RunObserver& observer) {
   CampaignReport report;
-  std::vector<TortureRun> runs = enumerate_campaign_runs(
+  const std::vector<TortureRun> runs = enumerate_campaign_runs(
       config, &report.skipped_crash_cells, &report.skipped_safe_cells,
       &report.skipped_space_cells);
-
-  std::size_t next = 0;
-  const std::chrono::nanoseconds deadline = config.run_deadline;
-  const auto generator = [&]() -> std::optional<engine::TrialSpec> {
-    if (next >= runs.size()) return std::nullopt;
-    return to_trial_spec(runs[next++], deadline, /*record=*/true);
-  };
-
-  const auto sink = [&](std::size_t index, const engine::TrialSpec&,
-                        engine::TrialOutcome&& out) -> bool {
-    if (config.stop_requested && config.stop_requested()) {
-      report.interrupted = true;
-      return false;
-    }
-    TortureRun& run = runs[index];
-    if (observer) observer(run, out.result);
-    return fold_outcome_record(
-        report, make_outcome_record(std::move(run), std::move(out)),
-        config.max_failures);
-  };
-
-  engine::TrialExecutor executor({config.jobs, 0});
-  executor.run_trials(generator, sink);
+  execute_runs(runs, 0, runs.size(), config.run_deadline, config.jobs,
+               [&](std::size_t index, const ConsensusRunResult& result,
+                   OutcomeRecord&& record) {
+                 if (config.stop_requested && config.stop_requested()) {
+                   report.interrupted = true;
+                   return false;
+                 }
+                 if (observer) observer(runs[index], result);
+                 return fold_outcome_record(report, std::move(record),
+                                            config.max_failures);
+               });
   return report;
 }
 

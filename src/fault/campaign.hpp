@@ -31,6 +31,7 @@
 #include "consensus/driver.hpp"
 #include "engine/trial.hpp"
 #include "runtime/adversary.hpp"
+#include "util/fnv.hpp"
 #include "util/space_budget.hpp"
 
 namespace bprc::fault {
@@ -125,7 +126,7 @@ struct CampaignReport {
   /// in delivery (= generation) order: the independence witness the CI
   /// digest comparisons check across --jobs levels, --workers counts,
   /// and --shard/--merge round trips.
-  std::uint64_t summary_digest = 0xCBF29CE484222325ULL;
+  std::uint64_t summary_digest = kFnvOffset;
   bool interrupted = false;  ///< stop_requested fired before completion
   bool ok() const { return failures.empty() && !interrupted; }
 };
@@ -157,14 +158,15 @@ std::uint64_t outcome_digest(const engine::TrialOutcome& out);
 /// so every worker count folds the same value for the same index.
 std::uint64_t quarantined_digest();
 
-/// Reduces a delivered (run, outcome) pair to its fold unit. Consumes
-/// both (failure details move the run and trace in). Under weakened
+/// Reduces an executed (run, outcome) pair to its fold unit. Consumes the
+/// outcome: a failure's detail moves the trace in and copies the run; a
+/// passing run's trace is folded into the digest and dropped. Under weakened
 /// register semantics, a budget/deadline termination stop on a protocol
 /// registered with live_under_stale_reads=false is downgraded to a
 /// non-failure (it still counts as an abort and still chains into the
 /// digest): the paper guarantees those protocols' liveness over atomic
 /// registers only. Safety violations are never downgraded.
-OutcomeRecord make_outcome_record(TortureRun&& run,
+OutcomeRecord make_outcome_record(const TortureRun& run,
                                   engine::TrialOutcome&& out);
 
 /// Folds one record into the report: counters, digest chain, failure
@@ -237,6 +239,24 @@ ConsensusRunResult replay_run(
 /// Called after every run (progress reporting, logging).
 using RunObserver =
     std::function<void(const TortureRun&, const ConsensusRunResult&)>;
+
+/// Receives one executed run, in index order: its global index, graded
+/// result and fold unit. Return false to stop.
+using RecordedRunSink = std::function<bool(
+    std::size_t, const ConsensusRunResult&, OutcomeRecord&&)>;
+
+/// The trials → records loop that run_campaign and the shard layer share:
+/// executes `runs[begin, end)` (recording, under `deadline`) on an
+/// engine::TrialExecutor of `jobs` workers and hands each run's record to
+/// `sink` in index order. The record is built on the worker that ran the
+/// trial, so the executor's window holds records, never a passing run's
+/// schedule, and the sink (under the executor lock) only folds. Specs are
+/// pure functions of their index, so any sub-range runs on its own: shard
+/// i/k executes one contiguous range, and a respawned shard worker resumes
+/// from its predecessor's first undelivered index.
+void execute_runs(const std::vector<TortureRun>& runs, std::size_t begin,
+                  std::size_t end, std::chrono::nanoseconds deadline,
+                  unsigned jobs, const RecordedRunSink& sink);
 
 CampaignReport run_campaign(const CampaignConfig& config,
                             const RunObserver& observer = nullptr);

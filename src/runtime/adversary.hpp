@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/runtime.hpp"
@@ -254,6 +255,14 @@ class RecordingAdversary final : public Adversary {
   /// Stale-read choices the inner strategy made, in resolution order;
   /// pass to ScriptedAdversary::set_stale_script to replay.
   const std::vector<int>& stales() const { return stales_; }
+
+  /// Move the recorded trace out, once the run is over (leaves the
+  /// recording empty).
+  std::vector<ProcId> take_script() { return std::move(script_); }
+  std::vector<CrashPlanAdversary::Crash> take_crashes() {
+    return std::move(crashes_);
+  }
+  std::vector<int> take_stales() { return std::move(stales_); }
 
  private:
   std::unique_ptr<Adversary> inner_;

@@ -4,31 +4,24 @@
 #include <condition_variable>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include <csignal>
 #include <unistd.h>
 
-#include "engine/executor.hpp"
 #include "shard/wire.hpp"
 
 namespace bprc::shard {
 
 void execute_index_range(const fault::CampaignConfig& campaign,
-                         std::vector<fault::TortureRun>& runs,
+                         const std::vector<fault::TortureRun>& runs,
                          IndexRange range, std::size_t max_detailed_failures,
                          unsigned jobs, const RecordSink& sink) {
-  const std::chrono::nanoseconds deadline = campaign.run_deadline;
   std::size_t detailed = 0;
-  engine::TrialExecutor executor({jobs, /*window=*/0});
-  executor.run_trials_range(
-      [&](std::size_t i) {
-        return fault::to_trial_spec(runs[i], deadline, /*record=*/true);
-      },
-      range.begin, range.end,
-      [&](std::size_t index, const engine::TrialSpec&,
-          engine::TrialOutcome&& out) {
-        fault::OutcomeRecord record = fault::make_outcome_record(
-            std::move(runs[index]), std::move(out));
+  fault::execute_runs(
+      runs, range.begin, range.end, campaign.run_deadline, jobs,
+      [&](std::size_t index, const ConsensusRunResult&,
+          fault::OutcomeRecord&& record) {
         if (record.detail.has_value()) {
           if (detailed >= max_detailed_failures) {
             record.detail.reset();

@@ -27,14 +27,14 @@ using RecordSink =
 /// Executes `runs[range.begin, range.end)` at the given TrialExecutor
 /// jobs level (forked workers pass 1 — they parallelize by process, not
 /// by thread; standalone `--shard` passes the campaign's own jobs) and
-/// hands each reduced record to `sink` in index order. Consumes the
-/// executed entries of `runs` (failure details move the run in). At most
+/// hands each reduced record to `sink` in index order, through the
+/// campaign's own trial loop (fault::execute_runs). At most
 /// `max_detailed_failures` records keep their TortureFailure detail;
 /// later failures still count and chain, they just can't be shrunk — the
 /// campaign fold stops after that many failures anyway, so nothing
 /// downstream ever needs them.
 void execute_index_range(const fault::CampaignConfig& campaign,
-                         std::vector<fault::TortureRun>& runs,
+                         const std::vector<fault::TortureRun>& runs,
                          IndexRange range, std::size_t max_detailed_failures,
                          unsigned jobs, const RecordSink& sink);
 

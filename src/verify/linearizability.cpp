@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "util/assert.hpp"
+#include "util/fnv.hpp"
 
 namespace bprc {
 
@@ -26,14 +27,9 @@ struct Search {
   };
   struct StateHash {
     std::size_t operator()(const State& s) const {
-      std::uint64_t h = 0xCBF29CE484222325ULL;
-      for (const std::uint64_t w : s.mask) {
-        h ^= w;
-        h *= 0x100000001B3ULL;
-      }
-      h ^= s.value;
-      h *= 0x100000001B3ULL;
-      return static_cast<std::size_t>(h);
+      std::uint64_t h = kFnvOffset;
+      for (const std::uint64_t w : s.mask) h = fnv_mix(h, w);
+      return static_cast<std::size_t>(fnv_mix(h, s.value));
     }
   };
 

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <optional>
@@ -91,9 +92,48 @@ TEST(EngineExecutor, EarlyStopDeliversTheExactPrefix) {
     EXPECT_EQ(deliveries, kStopAt + 1) << "jobs=" << jobs;
     // The bounded window caps speculative generation: stop leaves at most
     // one window of undelivered specs behind.
-    EXPECT_LE(generated, kStopAt + 1 + 4 * static_cast<std::uint64_t>(jobs))
-        << "jobs=" << jobs;
+    EXPECT_LE(generated, kStopAt + 1 + executor.window()) << "jobs=" << jobs;
   }
+}
+
+TEST(EngineExecutor, LongHeadDoesNotStallTheWindow) {
+  // A long trial at the front of the window blocks delivery, not
+  // execution: while item 0 runs, the other workers must keep executing
+  // the items behind it. Item 0 waits (for at most 2 s) until kBehind
+  // later items have finished; a window too narrow to hold them lets the
+  // other workers run dry and the wait time out.
+  constexpr std::uint64_t kItems = 100;
+  constexpr int kBehind = 40;
+  std::atomic<int> finished{0};
+  int finished_while_head_ran = 0;
+  TrialExecutor executor({4, 0});
+  std::uint64_t generated = 0;
+  std::size_t delivered = 0;
+  executor.run_ordered<std::uint64_t, int>(
+      [&]() -> std::optional<std::uint64_t> {
+        if (generated >= kItems) return std::nullopt;
+        return generated++;
+      },
+      [&](const std::uint64_t& item, SimReuse&) {
+        if (item != 0) {
+          finished.fetch_add(1);
+          return 0;
+        }
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(2);
+        while (finished.load() < kBehind &&
+               std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return finished.load();
+      },
+      [&](std::size_t index, const std::uint64_t&, int&& out) {
+        EXPECT_EQ(index, delivered++);
+        if (index == 0) finished_while_head_ran = out;
+        return true;
+      });
+  EXPECT_EQ(delivered, kItems);
+  EXPECT_GE(finished_while_head_ran, kBehind);
 }
 
 TEST(EngineExecutor, StressManyItemsManyWorkers) {
