@@ -21,14 +21,11 @@
 #include "runtime/adversary.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "util/assert.hpp"
+#include "util/bits.hpp"
 
 namespace bprc::explore {
 
 namespace {
-
-constexpr std::uint64_t bit_of(ProcId p) {
-  return std::uint64_t{1} << static_cast<unsigned>(p);
-}
 
 /// Independence relation for the sleep sets, read off pending OpDescs.
 /// Conservative (sound) in both unknowns: an op with no object id (-1, or
@@ -416,7 +413,7 @@ class Explorer final : public FlipTape, public TraceSink {
 
   // --- scheduling callback (via ExploreShim) ---
   ProcId pick(SimCtl& ctl) {
-    const std::uint64_t runnable = runnable_set(ctl);
+    const std::uint64_t runnable = ctl.runnable_mask();
     if (runnable == 0) return -1;  // defensive; run loop checks first
 
     if (cursor_ < trail_.size()) return replay_pick(runnable);
@@ -623,15 +620,6 @@ class Explorer final : public FlipTape, public TraceSink {
  private:
   enum : std::uint64_t { kDigestRunEnd = 0xE0D };
   enum class Mode { kInline, kBatched, kIsolate };
-
-  std::uint64_t runnable_set(const SimCtl& ctl) const {
-    if (const std::uint64_t* mask = ctl.runnable_mask()) return *mask;
-    std::uint64_t out = 0;
-    for (ProcId p = 0; p < nprocs_; ++p) {
-      if (ctl.view(p).runnable) out |= bit_of(p);
-    }
-    return out;
-  }
 
   /// Root slice for --frontier-split: keep the candidates whose rank
   /// (position among set bits) lands on this slice.
@@ -1056,7 +1044,7 @@ class Explorer final : public FlipTape, public TraceSink {
         return true;
       }
       stats_.sleep_pruned += static_cast<std::uint64_t>(
-          std::popcount(node.candidates)) - static_cast<std::uint64_t>(node.taken);
+          popcount64(node.candidates)) - static_cast<std::uint64_t>(node.taken);
       trail_.pop_back();
     }
     return false;

@@ -8,6 +8,7 @@
 #include "runtime/adversary.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "util/assert.hpp"
+#include "util/bits.hpp"
 
 namespace bprc::explore {
 
@@ -25,7 +26,7 @@ class LeafAdversary final : public Adversary {
         events_(events) {}
 
   ProcId pick(SimCtl& ctl) override {
-    const std::uint64_t runnable = runnable_set(ctl);
+    const std::uint64_t runnable = ctl.runnable_mask();
     if (runnable == 0) return -1;
     ProcId p = -1;
     if (pos_ < schedule_->size()) {
@@ -34,13 +35,7 @@ class LeafAdversary final : public Adversary {
                        (runnable >> static_cast<unsigned>(p)) & 1,
                    "leaf replay diverged: scripted pick not runnable");
     } else {
-      for (int i = 1; i <= nprocs_; ++i) {
-        const ProcId q = static_cast<ProcId>((last_ + i) % nprocs_);
-        if ((runnable >> static_cast<unsigned>(q)) & 1) {
-          p = q;
-          break;
-        }
-      }
+      p = next_set_bit_cyclic(runnable, last_);
     }
     last_ = p;
     events_->push_back(static_cast<std::uint8_t>(p + 1));
@@ -64,15 +59,6 @@ class LeafAdversary final : public Adversary {
   }
 
  private:
-  std::uint64_t runnable_set(const SimCtl& ctl) const {
-    if (const std::uint64_t* mask = ctl.runnable_mask()) return *mask;
-    std::uint64_t out = 0;
-    for (ProcId p = 0; p < nprocs_; ++p) {
-      if (ctl.view(p).runnable) out |= std::uint64_t{1} << static_cast<unsigned>(p);
-    }
-    return out;
-  }
-
   const std::vector<ProcId>* schedule_;
   const std::vector<int>* stales_;
   const int nprocs_;

@@ -95,9 +95,8 @@ bool validate(LineReader& r, const Repro& repro) {
   }
   if (repro.run.max_steps == 0) return r.fail_file("missing max-steps");
   if (n > kRunnableMaskBits) {
-    // Replay depends on the simulator's O(1) runnable digest being
-    // authoritative for every recorded pick; a wider configuration would
-    // replay outside that validated envelope. Refuse loudly instead.
+    // The simulator keeps its runnable set in one 64-bit mask and aborts
+    // on a wider configuration; refuse the artifact with a diagnostic.
     return r.fail_file("recorded n=" + std::to_string(n) +
                        " exceeds this build's runnable-bitmask width (" +
                        std::to_string(kRunnableMaskBits) +

@@ -3,55 +3,22 @@
 #include <algorithm>
 #include <bit>
 
-#include "util/assert.hpp"
+#include "util/bits.hpp"
 
 namespace bprc {
 
 namespace {
 
-// The pick() implementations below run once per simulated step — the
-// hottest loop in the repository. They are written as count-then-select
-// passes over SimCtl::view() precisely so they allocate nothing: counting
-// the candidates, drawing below(count), then scanning to the k-th
-// candidate makes the same rng draws and returns the same process as the
-// historical "collect ids into a vector, index it" code (candidates are
-// always enumerated in id order). Recorded schedules are bit-identical.
-
-/// Number of runnable processes.
-int runnable_count(const SimCtl& ctl) {
-  if (const std::uint64_t* mask = ctl.runnable_mask()) {
-    return std::popcount(*mask);
-  }
-  const int n = ctl.nprocs();
-  int count = 0;
-  for (ProcId p = 0; p < n; ++p) {
-    if (ctl.view(p).runnable) ++count;
-  }
-  return count;
-}
-
-/// The k-th runnable process in id order; k must be < runnable_count().
-ProcId nth_runnable(const SimCtl& ctl, std::uint64_t k) {
-  if (const std::uint64_t* mask = ctl.runnable_mask()) {
-    // k-th lowest set bit = k-th runnable in id order, same as the scan.
-    std::uint64_t m = *mask;
-    while (k-- > 0) m &= m - 1;  // clear the k lowest set bits
-    BPRC_REQUIRE(m != 0, "runnable rank out of range");
-    return static_cast<ProcId>(std::countr_zero(m));
-  }
-  const int n = ctl.nprocs();
-  for (ProcId p = 0; p < n; ++p) {
-    if (ctl.view(p).runnable && k-- == 0) return p;
-  }
-  BPRC_REQUIRE(false, "runnable rank out of range");
-  __builtin_unreachable();
-}
-
-/// Uniform pick over the runnable set; -1 (no draw) when it is empty.
-ProcId pick_uniform_runnable(const SimCtl& ctl, Rng& rng) {
-  const int count = runnable_count(ctl);
-  if (count == 0) return -1;
-  return nth_runnable(ctl, rng.below(static_cast<std::uint64_t>(count)));
+/// Uniform draw over the set bits of `mask`; -1 (no draw) when it is empty.
+/// The k-th set bit in id order is the k-th candidate, so this makes the
+/// same draw and choice as indexing the candidates collected into a vector.
+ProcId pick_in_mask(std::uint64_t mask, Rng& rng) {
+  if (mask == 0) return -1;
+  const std::uint64_t k =
+      rng.below(static_cast<std::uint64_t>(popcount64(mask)));
+  // Contiguous low bits (everyone runnable): the k-th set bit is bit k.
+  if ((mask & (mask + 1)) == 0) return static_cast<ProcId>(k);
+  return static_cast<ProcId>(nth_set_bit(mask, k));
 }
 
 }  // namespace
@@ -66,7 +33,7 @@ ProcId pick_uniform_runnable(const SimCtl& ctl, Rng& rng) {
 // the canonical weak-register attack.
 
 ProcId RandomAdversary::pick(SimCtl& ctl) {
-  return pick_uniform_runnable(ctl, rng_);
+  return pick_in_mask(ctl.runnable_mask(), rng_);
 }
 
 int RandomAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
@@ -74,15 +41,9 @@ int RandomAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
 }
 
 ProcId RoundRobinAdversary::pick(SimCtl& ctl) {
-  const int n = ctl.nprocs();
-  for (int offset = 1; offset <= n; ++offset) {
-    const ProcId p = static_cast<ProcId>((last_ + offset) % n);
-    if (ctl.view(p).runnable) {
-      last_ = p;
-      return p;
-    }
-  }
-  return -1;
+  const ProcId p = next_set_bit_cyclic(ctl.runnable_mask(), last_);
+  if (p >= 0) last_ = p;
+  return p;
 }
 
 int RoundRobinAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
@@ -92,14 +53,18 @@ int RoundRobinAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
 }
 
 ProcId LockstepAdversary::pick(SimCtl& ctl) {
-  // Drop entries that became unrunnable since the phase was formed.
-  std::erase_if(phase_, [&](ProcId p) { return !ctl.view(p).runnable; });
+  const std::uint64_t runnable = ctl.runnable_mask();
+  // Drop entries that became unrunnable since the phase was formed. A
+  // process never becomes runnable again, so dropping them only as they
+  // reach the back leaves the same back entry as dropping them all.
+  while (!phase_.empty() && (runnable & bit_of(phase_.back())) == 0) {
+    phase_.pop_back();
+  }
   if (phase_.empty()) {
     // Refill in id order (reusing the vector's capacity), then shuffle:
     // random order within the phase, drawn per phase.
-    const int n = ctl.nprocs();
-    for (ProcId p = 0; p < n; ++p) {
-      if (ctl.view(p).runnable) phase_.push_back(p);
+    for (std::uint64_t rest = runnable; rest != 0; rest &= rest - 1) {
+      phase_.push_back(static_cast<ProcId>(std::countr_zero(rest)));
     }
     if (phase_.empty()) return -1;
     for (std::size_t i = phase_.size(); i > 1; --i) {
@@ -116,31 +81,19 @@ int LockstepAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
 }
 
 ProcId LeaderSuppressAdversary::pick(SimCtl& ctl) {
-  const int n = ctl.nprocs();
+  // Candidates: the runnable processes at the minimal published round.
+  std::uint64_t laggards = 0;
   std::int32_t min_round = 0;
-  bool any = false;
-  for (ProcId p = 0; p < n; ++p) {
-    if (!ctl.view(p).runnable) continue;
+  for (std::uint64_t rest = ctl.runnable_mask(); rest != 0; rest &= rest - 1) {
+    const ProcId p = static_cast<ProcId>(std::countr_zero(rest));
     const std::int32_t round = ctl.view(p).hint.round;
-    min_round = any ? std::min(min_round, round) : round;
-    any = true;
-  }
-  if (!any) return -1;
-  int laggards = 0;
-  for (ProcId p = 0; p < n; ++p) {
-    if (ctl.view(p).runnable && ctl.view(p).hint.round == min_round) {
-      ++laggards;
+    if (laggards == 0 || round < min_round) {
+      min_round = round;
+      laggards = 0;
     }
+    if (round == min_round) laggards |= bit_of(p);
   }
-  std::uint64_t k = rng_.below(static_cast<std::uint64_t>(laggards));
-  for (ProcId p = 0; p < n; ++p) {
-    if (ctl.view(p).runnable && ctl.view(p).hint.round == min_round &&
-        k-- == 0) {
-      return p;
-    }
-  }
-  BPRC_REQUIRE(false, "laggard rank out of range");
-  __builtin_unreachable();
+  return pick_in_mask(laggards, rng_);
 }
 
 int LeaderSuppressAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
@@ -150,34 +103,25 @@ int LeaderSuppressAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
 }
 
 ProcId CoinBiasAdversary::pick(SimCtl& ctl) {
-  const int n = ctl.nprocs();
-  if (runnable_count(ctl) == 0) return -1;
-
   // Adversary's view of the walk: the sum of the counters the processes
   // have published (it has seen every local flip already performed).
   std::int64_t walk = 0;
-  for (ProcId p = 0; p < n; ++p) {
-    walk += ctl.view(p).hint.counter;
-  }
+  for (ProcId p = 0; p < ctl.nprocs(); ++p) walk += ctl.view(p).hint.counter;
 
   // Prefer a process whose pending counter write pulls the walk toward 0;
   // when the walk sits at 0, stall progress by preferring non-walk steps.
-  const auto preferred = [&](ProcId p) {
+  // With no such process, any runnable one.
+  const std::uint64_t runnable = ctl.runnable_mask();
+  std::uint64_t preferred = 0;
+  for (std::uint64_t rest = runnable; rest != 0; rest &= rest - 1) {
+    const ProcId p = static_cast<ProcId>(std::countr_zero(rest));
     const int delta = ctl.view(p).hint.walk_delta;
-    return walk != 0 ? (static_cast<std::int64_t>(delta) * walk < 0)
-                     : (delta == 0);
-  };
-  int count = 0;
-  for (ProcId p = 0; p < n; ++p) {
-    if (ctl.view(p).runnable && preferred(p)) ++count;
+    if (walk != 0 ? (static_cast<std::int64_t>(delta) * walk < 0)
+                  : (delta == 0)) {
+      preferred |= bit_of(p);
+    }
   }
-  if (count == 0) return pick_uniform_runnable(ctl, rng_);
-  std::uint64_t k = rng_.below(static_cast<std::uint64_t>(count));
-  for (ProcId p = 0; p < n; ++p) {
-    if (ctl.view(p).runnable && preferred(p) && k-- == 0) return p;
-  }
-  BPRC_REQUIRE(false, "preferred rank out of range");
-  __builtin_unreachable();
+  return pick_in_mask(preferred != 0 ? preferred : runnable, rng_);
 }
 
 int CoinBiasAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
@@ -217,17 +161,14 @@ class CrashTap final : public SimCtl {
  public:
   CrashTap(SimCtl& base, std::vector<CrashPlanAdversary::Crash>& log)
       : base_(base), log_(log) {
-    // Pass the simulator's contiguous views and runnable digest through
-    // the tap so the inner strategy's scans stay allocation-free.
-    adopt_fast_state(base);
+    // Every read goes straight to the simulator's published state; only
+    // crash() passes through the tap.
+    adopt_published_state(base);
   }
 
-  int nprocs() const override { return base_.nprocs(); }
-  const ProcView& proc(ProcId p) const override { return base_.proc(p); }
-  std::uint64_t step() const override { return base_.step(); }
   void crash(ProcId p) override {
-    const ProcView& view = base_.proc(p);
-    if (!view.crashed && !view.finished) log_.push_back({base_.step(), p});
+    const ProcView& view = proc(p);
+    if (!view.crashed && !view.finished) log_.push_back({step(), p});
     base_.crash(p);
   }
 
@@ -265,11 +206,10 @@ ProcId CrashStormAdversary::pick(SimCtl& ctl) {
   if (crashed_total < limit && rng_.bernoulli(crash_prob_)) {
     // Sensitivity score of a candidate victim, from the information the
     // strong adversary legitimately holds (Hint + pending OpDesc).
+    const std::uint64_t runnable = ctl.runnable_mask();
     std::int32_t max_round = 0;
-    for (ProcId p = 0; p < n; ++p) {
-      if (ctl.view(p).runnable) {
-        max_round = std::max(max_round, ctl.view(p).hint.round);
-      }
+    for (std::uint64_t rest = runnable; rest != 0; rest &= rest - 1) {
+      max_round = std::max(max_round, ctl.view(std::countr_zero(rest)).hint.round);
     }
     auto score = [&](ProcId p) {
       const SimCtl::ProcView& v = ctl.view(p);
@@ -287,29 +227,21 @@ ProcId CrashStormAdversary::pick(SimCtl& ctl) {
       return s;
     };
     // Victims are the runnable processes at the highest score (capped
-    // below at 1: only crash at genuinely sensitive points). Two passes —
-    // find the best score and its multiplicity, draw, scan to the winner.
+    // below at 1: only crash at genuinely sensitive points).
     int best = 1;
-    int victims = 0;
-    for (ProcId p = 0; p < n; ++p) {
-      if (!ctl.view(p).runnable) continue;
+    std::uint64_t victims = 0;
+    for (std::uint64_t rest = runnable; rest != 0; rest &= rest - 1) {
+      const ProcId p = static_cast<ProcId>(std::countr_zero(rest));
       const int s = score(p);
       if (s < best) continue;
       if (s > best) victims = 0;
       best = s;
-      ++victims;
+      victims |= bit_of(p);
     }
-    if (victims > 0) {
-      std::uint64_t k = rng_.below(static_cast<std::uint64_t>(victims));
-      for (ProcId p = 0; p < n; ++p) {
-        if (ctl.view(p).runnable && score(p) == best && k-- == 0) {
-          ctl.crash(p);
-          break;
-        }
-      }
-    }
+    const ProcId victim = pick_in_mask(victims, rng_);
+    if (victim >= 0) ctl.crash(victim);
   }
-  return pick_uniform_runnable(ctl, rng_);
+  return pick_in_mask(ctl.runnable_mask(), rng_);
 }
 
 int CrashStormAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
@@ -317,40 +249,29 @@ int CrashStormAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
 }
 
 ProcId SplitBrainAdversary::pick(SimCtl& ctl) {
-  const int n = ctl.nprocs();
-  const int half = std::max(1, n / 2);
-  const auto in_group = [&](ProcId p, int g) {
-    return ctl.view(p).runnable && ((p < half) ? 0 : 1) == g;
-  };
-  auto group_count = [&](int g) {
-    int count = 0;
-    for (ProcId p = 0; p < n; ++p) {
-      if (in_group(p, g)) ++count;
-    }
-    return count;
+  const int half = std::max(1, ctl.nprocs() / 2);  // <= 32
+  const std::uint64_t runnable = ctl.runnable_mask();
+  const std::uint64_t low = (std::uint64_t{1} << half) - 1;
+  const auto group_mask = [&](int g) {
+    return g == 0 ? runnable & low : runnable & ~low;
   };
 
-  int count = group_count(group_);
-  if (remaining_ == 0 || count == 0) {
+  std::uint64_t group = group_mask(group_);
+  if (remaining_ == 0 || group == 0) {
     group_ = 1 - group_;
     // Burst length in [mean/2, 2*mean): long enough that a burst spans
     // many protocol rounds of the solo group.
     remaining_ = mean_burst_ / 2 +
                  rng_.below(mean_burst_ + std::max<std::uint64_t>(mean_burst_ / 2, 1));
-    count = group_count(group_);
-    if (count == 0) {
+    group = group_mask(group_);
+    if (group == 0) {
       // Other group is dead too — fall back to whoever is left.
       if (remaining_ > 0) --remaining_;
-      return pick_uniform_runnable(ctl, rng_);
+      return pick_in_mask(runnable, rng_);
     }
   }
   if (remaining_ > 0) --remaining_;
-  std::uint64_t k = rng_.below(static_cast<std::uint64_t>(count));
-  for (ProcId p = 0; p < n; ++p) {
-    if (in_group(p, group_) && k-- == 0) return p;
-  }
-  BPRC_REQUIRE(false, "group rank out of range");
-  __builtin_unreachable();
+  return pick_in_mask(group, rng_);
 }
 
 int SplitBrainAdversary::resolve_read(SimCtl& ctl, const StaleRead& sr) {

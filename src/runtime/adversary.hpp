@@ -6,6 +6,15 @@
 // strategies here implement the published attack patterns the algorithms
 // in this library are designed to absorb (or, for the baselines, to
 // succumb to).
+//
+// A pick runs once per simulated step, so every strategy is built on one
+// primitive: build a candidate mask (bit p = process p may be chosen) in
+// one pass over the runnable bits, then draw rng.below(popcount) and take
+// that set bit. When the mask is the contiguous low bits (every process
+// runnable), the draw is the answer and no bit is searched. Candidates are
+// always enumerated in id order, so the draws and the chosen processes are
+// those of the historical "collect ids into a vector, index it" code, and
+// recorded schedules stay bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -15,17 +24,19 @@
 #include <vector>
 
 #include "runtime/runtime.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace bprc {
 
-/// Width of the O(1) runnable-set digest (SimCtl::runnable_mask): one bit
-/// per process id. Simulations wider than this fall back to scanning the
-/// view array; replay/exploration tooling that depends on the digest being
-/// authoritative validates recorded configurations against this bound.
+/// Width of the runnable-set digest (SimCtl::runnable_mask): one bit per
+/// process id, and so the largest process count the simulator accepts.
+/// Replay tooling validates recorded configurations against this bound.
 inline constexpr int kRunnableMaskBits = 64;
 
-/// Read/control surface the simulator exposes to its adversary.
+/// Read/control surface the simulator exposes to its adversary. Every read
+/// is a plain load of state the implementation publishes (see Published),
+/// so a decorator that re-exposes another SimCtl adds no call per read.
 class SimCtl {
  public:
   struct ProcView {
@@ -38,42 +49,44 @@ class SimCtl {
   };
 
   virtual ~SimCtl() = default;
-  virtual int nprocs() const = 0;
-  virtual const ProcView& proc(ProcId p) const = 0;
-  virtual std::uint64_t step() const = 0;
 
-  /// Allocation-free twin of proc(): resolves through a contiguous view
-  /// array when the implementation publishes one (SimRuntime does), with
-  /// a virtual-call fallback otherwise. Identical results either way; the
-  /// adversaries' per-step scan loops go through here. `p` must be in
-  /// [0, nprocs()) — the fast path does not bounds-check.
-  const ProcView& view(ProcId p) const {
-    return fast_views_ != nullptr ? fast_views_[p] : proc(p);
+  int nprocs() const { return pub_.nprocs; }
+
+  /// Global step counter (primitive operations executed so far).
+  std::uint64_t step() const { return *pub_.step; }
+
+  /// The view of process p; `p` must be in [0, nprocs()) — not checked.
+  /// The adversaries' per-step loops go through here.
+  const ProcView& view(ProcId p) const { return pub_.views[p]; }
+
+  /// view() with the range check.
+  const ProcView& proc(ProcId p) const {
+    BPRC_REQUIRE(p >= 0 && p < pub_.nprocs, "process id out of range");
+    return pub_.views[p];
   }
 
-  /// O(1) runnable-set digest when the implementation maintains one: bit p
-  /// is set iff process p is runnable. Null when unavailable (more than 64
-  /// processes, or an implementation that doesn't track it) — callers must
-  /// then fall back to scanning view(p).runnable, which reads identically.
-  const std::uint64_t* runnable_mask() const { return fast_mask_; }
+  /// Runnable-set digest: bit p is set iff view(p).runnable.
+  std::uint64_t runnable_mask() const { return *pub_.runnable; }
 
   /// Permanently stops scheduling p (a crash failure). Wait-free protocols
   /// tolerate up to nprocs()-1 of these.
   virtual void crash(ProcId p) = 0;
 
  protected:
-  /// Lets a SimCtl decorator (RecordingAdversary's crash tap) inherit the
-  /// decorated controller's fast view array and runnable digest.
-  void adopt_fast_state(const SimCtl& ctl) {
-    fast_views_ = ctl.fast_views_;
-    fast_mask_ = ctl.fast_mask_;
-  }
+  /// Live state an implementation points the reads above at, and keeps
+  /// current (nprocs <= kRunnableMaskBits).
+  struct Published {
+    int nprocs = 0;
+    const ProcView* views = nullptr;
+    const std::uint64_t* runnable = nullptr;
+    const std::uint64_t* step = nullptr;
+  };
 
-  /// Implementations with contiguous per-process views point these at the
-  /// live state (and keep them current across reallocation); others leave
-  /// them null.
-  const ProcView* fast_views_ = nullptr;
-  const std::uint64_t* fast_mask_ = nullptr;
+  /// Lets a SimCtl decorator (RecordingAdversary's crash tap) read the
+  /// decorated controller's state directly.
+  void adopt_published_state(const SimCtl& ctl) { pub_ = ctl.pub_; }
+
+  Published pub_;
 };
 
 /// Strategy interface. pick() must return a currently runnable process, or
@@ -135,7 +148,9 @@ class LockstepAdversary final : public Adversary {
 
  private:
   Rng rng_;
-  std::vector<ProcId> phase_;  ///< processes not yet scheduled this phase
+  /// Processes not yet scheduled this phase, drawn from the back; entries
+  /// that stopped being runnable are dropped when they reach it.
+  std::vector<ProcId> phase_;
 };
 
 /// Adaptive: starves the processes with the highest published round,

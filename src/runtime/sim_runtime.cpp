@@ -19,16 +19,15 @@ SimRuntime::~SimRuntime() {
 void SimRuntime::init(int nprocs, std::unique_ptr<Adversary> adversary,
                       std::uint64_t seed) {
   BPRC_REQUIRE(nprocs > 0, "simulator needs at least one process");
+  BPRC_REQUIRE(nprocs <= kRunnableMaskBits,
+               "simulator process count exceeds the runnable-bitmask width");
   BPRC_REQUIRE(adversary != nullptr, "simulator needs an adversary");
   adversary_ = std::move(adversary);
 
   const auto count = static_cast<std::size_t>(nprocs);
   views_.assign(count, SimCtl::ProcView{});
-  fast_views_ = views_.data();  // SimCtl::view() fast path
   runnable_mask_ = 0;
-  fast_mask_ =
-      count <= static_cast<std::size_t>(kRunnableMaskBits) ? &runnable_mask_
-                                                           : nullptr;
+  pub_ = {nprocs, views_.data(), &runnable_mask_, &total_steps_};
   if (states_.size() == count) {
     for (ProcState& st : states_) {
       st.fiber.reset();  // stack returns to the FiberStackPool
@@ -81,11 +80,9 @@ void SimRuntime::spawn(ProcId p, std::function<void()> body) {
       // Normal shutdown path for crashed / budget-stopped processes.
     }
     views_[ix].finished = true;
-    views_[ix].runnable = false;
-    mask_clear(ix);
+    mark_unrunnable(ix);
   });
-  views_[ix].runnable = true;
-  mask_set(ix);
+  mark_runnable(ix);
 }
 
 bool SimRuntime::watchdog_expired() const {
@@ -168,17 +165,8 @@ void SimRuntime::crash(ProcId p) {
   SimCtl::ProcView& view = views_[ix];
   if (view.finished || view.crashed) return;
   view.crashed = true;
-  view.runnable = false;
-  mask_clear(ix);
+  mark_unrunnable(ix);
   states_[ix].stop = true;
-}
-
-bool SimRuntime::any_runnable() const {
-  if (fast_mask_ != nullptr) return runnable_mask_ != 0;
-  for (const auto& view : views_) {
-    if (view.runnable) return true;
-  }
-  return false;
 }
 
 RunResult SimRuntime::run(std::uint64_t max_steps,
@@ -201,7 +189,7 @@ RunResult SimRuntime::run(std::uint64_t max_steps,
       has_pending_pick_ = false;
       p = pending_pick_;
     } else {
-      if (!any_runnable()) {
+      if (runnable_mask_ == 0) {
         // kAllDone means every *non-crashed* process finished its body;
         // crashed processes are expected casualties, not a failed run.
         bool survivors_finished = true;
@@ -251,8 +239,7 @@ void SimRuntime::unwind_survivors() {
     ProcState& state = states_[i];
     if (state.fiber == nullptr || state.fiber->finished()) continue;
     state.stop = true;
-    views_[i].runnable = false;
-    mask_clear(i);
+    mark_unrunnable(i);
     current_ = static_cast<ProcId>(i);
     state.fiber->resume();
     current_ = -1;

@@ -28,7 +28,7 @@ namespace bprc {
 class SimRuntime final : public Runtime, private SimCtl {
  public:
   /// `seed` derives every process's local coin; the adversary carries its
-  /// own seed.
+  /// own seed. 1 <= nprocs <= kRunnableMaskBits.
   SimRuntime(int nprocs, std::unique_ptr<Adversary> adversary,
              std::uint64_t seed);
   ~SimRuntime() override;
@@ -104,8 +104,7 @@ class SimRuntime final : public Runtime, private SimCtl {
 
  private:
   /// Per-process state the adversary never sees; the visible half lives in
-  /// views_ (contiguous, so adversary scans are cache-linear and reachable
-  /// without a virtual call — see SimCtl::view).
+  /// views_ (contiguous, published to the adversary — see SimCtl::view).
   struct ProcState {
     std::unique_ptr<Fiber> fiber;
     Rng rng{0};
@@ -114,10 +113,6 @@ class SimRuntime final : public Runtime, private SimCtl {
   };
 
   // --- SimCtl interface (called by the adversary) ---
-  const SimCtl::ProcView& proc(ProcId p) const override {
-    return views_[checked(p)];
-  }
-  std::uint64_t step() const override { return total_steps_; }
   void crash(ProcId p) override;
 
   /// Shared constructor/reset body.
@@ -125,16 +120,15 @@ class SimRuntime final : public Runtime, private SimCtl {
             std::uint64_t seed);
 
   std::size_t checked(ProcId p) const;
-  bool any_runnable() const;
-  /// Keep the O(1) runnable digest (SimCtl::runnable_mask) in sync with
-  /// views_[ix].runnable. Digest bits exist only for ids <
-  /// kRunnableMaskBits; beyond that fast_mask_ stays null and everything
-  /// scans views_ instead.
-  void mask_set(std::size_t ix) {
-    if (ix < kRunnableMaskBits) runnable_mask_ |= std::uint64_t{1} << ix;
+  /// Keep the runnable digest (SimCtl::runnable_mask) in sync with
+  /// views_[ix].runnable.
+  void mark_runnable(std::size_t ix) {
+    views_[ix].runnable = true;
+    runnable_mask_ |= std::uint64_t{1} << ix;
   }
-  void mask_clear(std::size_t ix) {
-    if (ix < kRunnableMaskBits) runnable_mask_ &= ~(std::uint64_t{1} << ix);
+  void mark_unrunnable(std::size_t ix) {
+    views_[ix].runnable = false;
+    runnable_mask_ &= ~(std::uint64_t{1} << ix);
   }
   /// True when the wall-clock watchdog is armed, due for a check at the
   /// current step count, and expired.

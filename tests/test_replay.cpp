@@ -150,31 +150,53 @@ TEST(Replay, GoldenScheduleHashesArePinned) {
   // as a digest. Any change to adversary draw order, checkpoint gating,
   // rng derivation, or scheduling semantics shows up here as a hash
   // mismatch — scheduler optimizations must NOT move these values.
+  //
+  // Beyond the n=5 atomic cell: an n=8 run composed with a crash plan
+  // (CrashPlanAdversary under RecordingAdversary, the campaign path, so
+  // crashes land between picks and make the runnable set non-contiguous),
+  // and a run under regular registers, where resolve_read draws
+  // interleave with pick draws on the same Rng.
   struct Golden {
     const char* adversary;
+    std::vector<int> inputs;
+    std::vector<CrashPlanAdversary::Crash> crash_plan;
+    RegisterSemantics semantics;
     std::size_t len;
     std::size_t crash_count;
     std::uint64_t hash;
   };
+  const std::vector<int> n5 = {0, 1, 1, 0, 1};
+  const std::vector<int> n8 = {0, 1, 1, 0, 1, 0, 0, 1};
+  constexpr RegisterSemantics kAtomic = RegisterSemantics::kAtomic;
   const Golden goldens[] = {
-      {"random", 4964, 0, 0x731f0c5d39bb92e2ULL},
-      {"coin-bias", 5110, 0, 0xd7434f9318edb05aULL},
-      {"crash-storm", 17925, 4, 0x6bff30d521c19d61ULL},
-      {"split-brain", 4948, 0, 0x4e5850c9b2a82258ULL},
-      {"lockstep", 2420, 0, 0x698caa121a93e73dULL},
-      {"leader-suppress", 4872, 0, 0x0ed92d7d8fbaa4d4ULL},
+      {"random", n5, {}, kAtomic, 4964, 0, 0x731f0c5d39bb92e2ULL},
+      {"coin-bias", n5, {}, kAtomic, 5110, 0, 0xd7434f9318edb05aULL},
+      {"crash-storm", n5, {}, kAtomic, 17925, 4, 0x6bff30d521c19d61ULL},
+      {"split-brain", n5, {}, kAtomic, 4948, 0, 0x4e5850c9b2a82258ULL},
+      {"lockstep", n5, {}, kAtomic, 2420, 0, 0x698caa121a93e73dULL},
+      {"leader-suppress", n5, {}, kAtomic, 4872, 0, 0x0ed92d7d8fbaa4d4ULL},
+      {"round-robin", n5, {}, kAtomic, 2420, 0, 0x486b7702620a4b85ULL},
+      {"coin-bias", n8, {{40, 0}, {700, 5}, {2600, 1}}, kAtomic, 103247, 3,
+       0x56d7becf79d363b3ULL},
+      {"random", n5, {}, RegisterSemantics::kRegular, 5400, 0,
+       0x7108d17815b8b15fULL},
   };
   for (const Golden& g : goldens) {
-    const TortureRun run =
-        make_run("bprc", {0, 1, 1, 0, 1}, g.adversary, 424242);
+    TortureRun run = make_run("bprc", g.inputs, g.adversary, 424242);
+    run.crash_plan = g.crash_plan;
+    run.semantics = g.semantics;
+    const std::string cell = std::string(g.adversary) + " n=" +
+                             std::to_string(g.inputs.size()) + " " +
+                             to_string(g.semantics);
     std::vector<ProcId> schedule;
     std::vector<CrashPlanAdversary::Crash> crashes;
     const ConsensusRunResult result =
         execute_run(run, kNoDeadline, &schedule, &crashes);
-    EXPECT_TRUE(result.ok()) << g.adversary;
-    EXPECT_EQ(schedule.size(), g.len) << g.adversary;
-    EXPECT_EQ(crashes.size(), g.crash_count) << g.adversary;
-    EXPECT_EQ(schedule_hash(schedule, crashes), g.hash) << g.adversary;
+    EXPECT_TRUE(result.ok()) << cell;
+    EXPECT_EQ(schedule.size(), g.len) << cell;
+    EXPECT_EQ(crashes.size(), g.crash_count) << cell;
+    EXPECT_EQ(schedule_hash(schedule, crashes), g.hash)
+        << cell << std::hex << " hash=0x" << schedule_hash(schedule, crashes);
   }
 }
 

@@ -319,6 +319,18 @@ TEST(SimRuntime, ConsensusExplorationIsIdenticalUnderResetReuse) {
   EXPECT_TRUE(fresh.ok());
 }
 
+TEST(SimRuntimeDeath, MoreProcessesThanMaskBitsAbortAtConstruction) {
+  // The runnable set is one 64-bit mask: a 65th process is refused by the
+  // constructor, before any fiber exists or anything runs.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        SimRuntime rt(kRunnableMaskBits + 1,
+                      std::make_unique<RoundRobinAdversary>(), 1);
+      },
+      "runnable-bitmask width");
+}
+
 TEST(SimRuntimeDeath, NonOwnerWriteAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(

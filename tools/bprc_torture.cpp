@@ -236,7 +236,22 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.spaces.push_back(*budget);
     }
     else if (arg == "--adversary") { if (!(v = need_value(i))) return false; opt.adversaries.push_back(v); }
-    else if (arg == "--n") { if (!(v = need_value(i))) return false; opt.ns.push_back(std::atoi(v)); }
+    else if (arg == "--n") {
+      if (!(v = need_value(i))) return false;
+      const int n = std::atoi(v);
+      if (n < 1) {
+        std::fprintf(stderr, "bprc_torture: --n must be at least 1\n");
+        return false;
+      }
+      if (n > kRunnableMaskBits) {
+        std::fprintf(stderr,
+                     "bprc_torture: --n %d exceeds this build's "
+                     "runnable-bitmask width (%d processes)\n",
+                     n, kRunnableMaskBits);
+        return false;
+      }
+      opt.ns.push_back(n);
+    }
     else if (arg == "--seeds") { if (!(v = need_value(i))) return false; opt.seeds = std::strtoull(v, nullptr, 10); }
     else if (arg == "--seed") { if (!(v = need_value(i))) return false; opt.seed0 = std::strtoull(v, nullptr, 10); }
     else if (arg == "--budget") { if (!(v = need_value(i))) return false; opt.budget = std::strtoull(v, nullptr, 10); }

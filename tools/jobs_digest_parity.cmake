@@ -1,10 +1,14 @@
 # Runs one bprc_torture campaign at --jobs 1 and at --jobs 4 and fails
-# unless both print the same `digest=` line. The cell is n=8 bprc, whose
-# run lengths are heavy-tailed, so at --jobs 4 the executor's window runs
-# well ahead of delivery: completion order differs from generation order,
-# and only ordered delivery keeps the digest equal.
+# unless both print the same `digest=` line, and, when EXPECT is given,
+# unless that line is `digest=${EXPECT}`. The cell is n=8 bprc over all
+# seven adversaries with crash plans, whose run lengths are heavy-tailed,
+# so at --jobs 4 the executor's window runs well ahead of delivery:
+# completion order differs from generation order, and only ordered
+# delivery keeps the digest equal. A pinned EXPECT also catches any drift
+# in an adversary's draw order at n=8.
 #
-#   cmake -DTORTURE=<path to bprc_torture> -P jobs_digest_parity.cmake
+#   cmake -DTORTURE=<path to bprc_torture> [-DEXPECT=0x...]
+#         -P jobs_digest_parity.cmake
 if(NOT TORTURE)
   message(FATAL_ERROR "pass -DTORTURE=<path to bprc_torture>")
 endif()
@@ -24,5 +28,8 @@ endforeach()
 
 if(NOT digest_1 STREQUAL digest_4)
   message(FATAL_ERROR "--jobs 1 ${digest_1} != --jobs 4 ${digest_4}")
+endif()
+if(EXPECT AND NOT digest_1 STREQUAL "digest=${EXPECT}")
+  message(FATAL_ERROR "${digest_1}, pinned digest=${EXPECT}")
 endif()
 message(STATUS "--jobs 1 and --jobs 4: ${digest_1}")
