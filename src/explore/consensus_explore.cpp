@@ -119,7 +119,7 @@ ConsensusExploreReport explore_consensus(const ConsensusExploreConfig& config,
     options->target_fingerprint = consensus_target_fingerprint(config);
   }
   ExploreResult result =
-      explore(target, config.limits, config.seed, config.reuse_runtime,
+      explore(target, config.limits, config.seed,
               options.has_value() ? &*options : nullptr);
   ConsensusExploreReport report;
   report.config = config;
@@ -130,8 +130,7 @@ ConsensusExploreReport explore_consensus(const ConsensusExploreConfig& config,
 
 std::vector<ConsensusExploreReport> explore_consensus_all_inputs(
     const std::string& protocol, int n, std::uint64_t seed,
-    const ExploreLimits& limits, bool reuse_runtime,
-    const SpaceBudget& space) {
+    const ExploreLimits& limits, const SpaceBudget& space) {
   BPRC_REQUIRE(n > 0 && n < 16, "input sweep is exponential in n");
   std::vector<ConsensusExploreReport> reports;
   for (unsigned bits = 0; bits < (1u << n); ++bits) {
@@ -140,7 +139,6 @@ std::vector<ConsensusExploreReport> explore_consensus_all_inputs(
     config.seed = seed;
     config.space = space;
     config.limits = limits;
-    config.reuse_runtime = reuse_runtime;
     config.inputs.resize(static_cast<std::size_t>(n));
     for (int p = 0; p < n; ++p) {
       config.inputs[static_cast<std::size_t>(p)] =

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <bit>
 #include <chrono>
 #include <condition_variable>
@@ -128,235 +129,30 @@ class LeafQueue {
   bool aborted_ = false;
 };
 
-// --- pipe wire helpers for the isolated (fork-per-execution) mode ---
-
-void pipe_write(int fd, const void* data, std::size_t len) {
-  const char* p = static_cast<const char*>(data);
-  while (len > 0) {
-    const ssize_t w = ::write(fd, p, len);
-    if (w <= 0) _exit(3);  // parent treats a short report as a crash
-    p += w;
-    len -= static_cast<std::size_t>(w);
-  }
-}
-
-bool pipe_read(int fd, void* data, std::size_t len) {
-  char* p = static_cast<char*>(data);
-  while (len > 0) {
-    const ssize_t r = ::read(fd, p, len);
-    if (r <= 0) return false;
-    p += r;
-    len -= static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
-template <typename T>
-void pipe_write_pod(int fd, const T& v) {
-  pipe_write(fd, &v, sizeof v);
-}
-
-template <typename T>
-bool pipe_read_pod(int fd, T* v) {
-  return pipe_read(fd, v, sizeof *v);
-}
-
-/// Everything an isolated child must hand back so the parent's DFS state
-/// evolves exactly as if it had executed the run itself: the outcome, the
-/// trail extension, the seen-cache visits (replayed on the parent's
-/// cache), and the tree-shape counter deltas.
-struct IsolatedReport {
-  bool pruned = false;
-  bool complete = false;
-  std::optional<Violation> violation;
-  std::uint64_t steps = 0;
-  std::vector<std::uint8_t> events;
-  std::vector<bool> flips;
-  std::vector<int> stales;
-  std::vector<Node> new_nodes;
-  std::vector<std::pair<std::uint64_t, std::uint8_t>> visits;
-  std::uint64_t d_states_visited = 0;
-  std::uint64_t d_states_merged = 0;
-  std::uint64_t d_sleep_blocked = 0;
-  std::uint64_t d_coin_branches = 0;
-};
-
-void send_report(int fd, const IsolatedReport& rep, int nprocs) {
-  std::uint8_t flags = 0;
-  if (rep.pruned) flags |= 1;
-  if (rep.complete) flags |= 2;
-  if (rep.violation.has_value()) flags |= 4;
-  pipe_write_pod(fd, flags);
-  const std::uint8_t failure = static_cast<std::uint8_t>(
-      rep.violation ? rep.violation->failure : FailureClass::kNone);
-  pipe_write_pod(fd, failure);
-  const std::uint32_t note_len = static_cast<std::uint32_t>(
-      rep.violation ? rep.violation->note.size() : 0);
-  pipe_write_pod(fd, note_len);
-  if (note_len > 0) pipe_write(fd, rep.violation->note.data(), note_len);
-  pipe_write_pod(fd, rep.steps);
-  pipe_write_pod<std::uint64_t>(fd, rep.events.size());
-  if (!rep.events.empty()) pipe_write(fd, rep.events.data(), rep.events.size());
-  pipe_write_pod<std::uint64_t>(fd, rep.flips.size());
-  for (const bool b : rep.flips) {
-    pipe_write_pod<std::uint8_t>(fd, b ? 1 : 0);
-  }
-  pipe_write_pod<std::uint64_t>(fd, rep.stales.size());
-  for (const int c : rep.stales) {
-    pipe_write_pod<std::int32_t>(fd, c);
-  }
-  pipe_write_pod<std::uint64_t>(fd, rep.new_nodes.size());
-  for (const Node& node : rep.new_nodes) {
-    // Kind byte: 0 = schedule, 1 = coin, 2 = stale.
-    const std::uint8_t kind = node.is_coin ? 1 : (node.is_stale ? 2 : 0);
-    pipe_write_pod(fd, kind);
-    if (node.is_coin) continue;  // created coin nodes are (false, taken=1)
-    if (node.is_stale) {
-      // Created stale nodes are (value=0, taken=1); only the option count
-      // varies.
-      pipe_write_pod<std::int32_t>(fd, node.stale_options);
-      continue;
-    }
-    pipe_write_pod<std::int32_t>(fd, node.chosen);
-    pipe_write_pod(fd, node.candidates);
-    pipe_write_pod(fd, node.sleep);
-    for (int p = 0; p < nprocs; ++p) {
-      const OpDesc& op = node.ops[static_cast<std::size_t>(p)];
-      pipe_write_pod<std::uint8_t>(fd, static_cast<std::uint8_t>(op.kind));
-      pipe_write_pod<std::int32_t>(fd, op.object);
-      pipe_write_pod<std::int64_t>(fd, op.payload);
-    }
-  }
-  pipe_write_pod<std::uint64_t>(fd, rep.visits.size());
-  for (const auto& [key, depth] : rep.visits) {
-    pipe_write_pod(fd, key);
-    pipe_write_pod(fd, depth);
-  }
-  pipe_write_pod(fd, rep.d_states_visited);
-  pipe_write_pod(fd, rep.d_states_merged);
-  pipe_write_pod(fd, rep.d_sleep_blocked);
-  pipe_write_pod(fd, rep.d_coin_branches);
-}
-
-bool recv_report(int fd, IsolatedReport* rep, int nprocs) {
-  std::uint8_t flags = 0;
-  std::uint8_t failure = 0;
-  std::uint32_t note_len = 0;
-  if (!pipe_read_pod(fd, &flags)) return false;
-  if (!pipe_read_pod(fd, &failure)) return false;
-  if (!pipe_read_pod(fd, &note_len)) return false;
-  if (note_len > (1u << 20)) return false;  // corrupt length = crash
-  std::string note(note_len, '\0');
-  if (note_len > 0 && !pipe_read(fd, note.data(), note_len)) return false;
-  if (!pipe_read_pod(fd, &rep->steps)) return false;
-  std::uint64_t count = 0;
-  if (!pipe_read_pod(fd, &count) || count > (1ull << 30)) return false;
-  rep->events.resize(static_cast<std::size_t>(count));
-  if (count > 0 && !pipe_read(fd, rep->events.data(), rep->events.size())) {
-    return false;
-  }
-  if (!pipe_read_pod(fd, &count) || count > (1ull << 20)) return false;
-  rep->flips.resize(static_cast<std::size_t>(count));
-  for (std::size_t i = 0; i < rep->flips.size(); ++i) {
-    std::uint8_t b = 0;
-    if (!pipe_read_pod(fd, &b)) return false;
-    rep->flips[i] = b != 0;
-  }
-  if (!pipe_read_pod(fd, &count) || count > (1ull << 20)) return false;
-  rep->stales.resize(static_cast<std::size_t>(count));
-  for (int& c : rep->stales) {
-    std::int32_t v = 0;
-    if (!pipe_read_pod(fd, &v)) return false;
-    c = v;
-  }
-  if (!pipe_read_pod(fd, &count) || count > (1ull << 20)) return false;
-  rep->new_nodes.resize(static_cast<std::size_t>(count));
-  for (Node& node : rep->new_nodes) {
-    std::uint8_t kind = 0;
-    if (!pipe_read_pod(fd, &kind)) return false;
-    if (kind > 2) return false;
-    node.is_coin = kind == 1;
-    node.is_stale = kind == 2;
-    node.taken = 1;
-    if (node.is_coin) continue;
-    if (node.is_stale) {
-      std::int32_t options = 0;
-      if (!pipe_read_pod(fd, &options)) return false;
-      node.stale_options = options;
-      continue;
-    }
-    std::int32_t chosen = 0;
-    if (!pipe_read_pod(fd, &chosen)) return false;
-    node.chosen = static_cast<ProcId>(chosen);
-    if (!pipe_read_pod(fd, &node.candidates)) return false;
-    if (!pipe_read_pod(fd, &node.sleep)) return false;
-    node.ops.resize(static_cast<std::size_t>(nprocs));
-    for (int p = 0; p < nprocs; ++p) {
-      OpDesc& op = node.ops[static_cast<std::size_t>(p)];
-      std::uint8_t kind = 0;
-      std::int32_t object = 0;
-      std::int64_t payload = 0;
-      if (!pipe_read_pod(fd, &kind)) return false;
-      if (!pipe_read_pod(fd, &object)) return false;
-      if (!pipe_read_pod(fd, &payload)) return false;
-      op.kind = static_cast<OpDesc::Kind>(kind);
-      op.object = object;
-      op.payload = payload;
-    }
-  }
-  if (!pipe_read_pod(fd, &count) || count > (1ull << 30)) return false;
-  rep->visits.resize(static_cast<std::size_t>(count));
-  for (auto& [key, depth] : rep->visits) {
-    if (!pipe_read_pod(fd, &key)) return false;
-    if (!pipe_read_pod(fd, &depth)) return false;
-  }
-  if (!pipe_read_pod(fd, &rep->d_states_visited)) return false;
-  if (!pipe_read_pod(fd, &rep->d_states_merged)) return false;
-  if (!pipe_read_pod(fd, &rep->d_sleep_blocked)) return false;
-  if (!pipe_read_pod(fd, &rep->d_coin_branches)) return false;
-  if ((flags & 4) != 0) {
-    Violation v;
-    v.failure = static_cast<FailureClass>(failure);
-    v.note = std::move(note);
-    rep->violation = std::move(v);
-  }
-  rep->pruned = (flags & 1) != 0;
-  rep->complete = (flags & 2) != 0;
-  return true;
-}
-
 class Explorer final : public FlipTape, public TraceSink {
  public:
   Explorer(ExploreTarget& target, const ExploreLimits& limits,
-           std::uint64_t seed, bool reuse_runtime,
-           const FrontierOptions* frontier)
+           std::uint64_t seed, const FrontierOptions* frontier)
       : target_(target),
         limits_(limits),
         seed_(seed),
-        reuse_(reuse_runtime),
         nprocs_(target.nprocs()),
         frontier_(frontier != nullptr ? *frontier : FrontierOptions{}),
-        seen_(limits.compact_cache ? SeenCache::Layout::kCompact
-                                   : SeenCache::Layout::kMap,
-              limits.max_cache_bytes) {
+        seen_(limits.max_cache_bytes) {
     BPRC_REQUIRE(nprocs_ > 0, "explore target needs at least one process");
     BPRC_REQUIRE(nprocs_ <= kRunnableMaskBits,
                  "explorer masks cap the process count");
     BPRC_REQUIRE(!limits_.state_cache || limits_.branch_depth <= 255,
                  "seen-state depth tags are 8-bit: branch_depth <= 255");
     BPRC_REQUIRE(!limits_.isolate_leaves || limits_.grade_jobs <= 1,
-                 "isolated leaf grading forks: grade_jobs must be 1");
+                 "isolated exploration forks: grade_jobs must be 1");
     if (limits_.split_count > 1) {
       BPRC_REQUIRE(limits_.split_index < limits_.split_count,
                    "frontier split index out of range");
       BPRC_REQUIRE(limits_.branch_depth >= 1,
                    "frontier split needs a branch region");
     }
-    if (limits_.isolate_leaves) {
-      mode_ = Mode::kIsolate;
-    } else if (limits_.grade_jobs > 1) {
-      mode_ = Mode::kBatched;
-    }
+    if (limits_.grade_jobs > 1) mode_ = Mode::kBatched;
     config_fp_ = config_fingerprint();
   }
 
@@ -441,10 +237,7 @@ class Explorer final : public FlipTape, public TraceSink {
         // atomic-mode keys (and their pinned digests) are untouched.
         key = fnv_mix(key, stales_used_ + 1);
       }
-      if (key == 0) key = kSeenZeroKey;  // 0 marks empty compact slots
-      if (visit_log_ != nullptr) {
-        visit_log_->emplace_back(key, static_cast<std::uint8_t>(depth));
-      }
+      if (key == 0) key = kSeenZeroKey;  // 0 marks empty cache slots
       const SeenCache::Visit visit =
           seen_.visit(key, static_cast<std::uint8_t>(depth));
       if (visit == SeenCache::Visit::kMerged) {
@@ -619,7 +412,7 @@ class Explorer final : public FlipTape, public TraceSink {
 
  private:
   enum : std::uint64_t { kDigestRunEnd = 0xE0D };
-  enum class Mode { kInline, kBatched, kIsolate };
+  enum class Mode { kInline, kBatched };
 
   /// Root slice for --frontier-split: keep the candidates whose rank
   /// (position among set bits) lands on this slice.
@@ -750,8 +543,8 @@ class Explorer final : public FlipTape, public TraceSink {
   /// Folds one graded execution into the result — digest, counters,
   /// violation list — in generation order. Every mode funnels through
   /// here, which is what makes jobs levels byte-identical: the serial
-  /// path delivers inline, the batched path from the engine's ordered
-  /// sink, the isolated path after each fork.
+  /// path delivers inline (after the fork probe under isolation), the
+  /// batched path from the engine's ordered sink.
   void deliver(const LeafSpec& spec, LeafOutcome&& out) {
     for (const std::uint8_t b : out.events) {
       stats_.schedule_digest = fnv_mix(stats_.schedule_digest, b);
@@ -783,10 +576,19 @@ class Explorer final : public FlipTape, public TraceSink {
   }
 
   void execute_once() {
-    if (mode_ == Mode::kIsolate) {
-      execute_isolated();
-      return;
+    if (limits_.isolate_leaves) {
+      const int status = probe_in_child();
+      if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        quarantine(status);
+        return;
+      }
     }
+    run_and_deliver();
+  }
+
+  /// One execution: run it, then grade and deliver it inline, or hand it
+  /// to the grading pump (kBatched).
+  void run_and_deliver() {
     const RunResult run = run_core();
     ++enumerated_;
     stats_.max_trail_depth =
@@ -835,11 +637,8 @@ class Explorer final : public FlipTape, public TraceSink {
     auto shim = std::make_unique<ExploreShim>(*this);
     if (runtime_ == nullptr) {
       runtime_ = std::make_unique<SimRuntime>(nprocs_, std::move(shim), seed_);
-    } else if (reuse_) {
-      runtime_->reset(nprocs_, std::move(shim), seed_);
     } else {
-      runtime_.reset();  // old instance died at the end of the last call
-      runtime_ = std::make_unique<SimRuntime>(nprocs_, std::move(shim), seed_);
+      runtime_->reset(nprocs_, std::move(shim), seed_);
     }
     SimRuntime& rt = *runtime_;
 
@@ -892,62 +691,37 @@ class Explorer final : public FlipTape, public TraceSink {
     return out;
   }
 
-  /// kIsolate: the whole execution — enumeration run *and* grading — in a
-  /// fork()ed child, so a protocol that kills its host process (e.g.
-  /// broken-segv, which dies on the first propose() step, inside the
-  /// branch region) cannot take the DFS coordinator down. The child hands
-  /// back everything the parent needs to evolve its DFS state exactly as
-  /// if it had run the execution itself; a dead child quarantines its
-  /// whole current branch as one kWorkerCrash finding and the sweep
-  /// backtracks past it.
-  void execute_isolated() {
-    int fds[2];
-    BPRC_REQUIRE(::pipe(fds) == 0, "pipe() failed for isolated exploration");
+  /// Isolation probe: the whole execution — enumeration run *and*
+  /// grading — first runs in a fork()ed child, so a protocol that kills
+  /// its host process (e.g. broken-segv, which dies on the first propose()
+  /// step, inside the branch region) cannot take the DFS coordinator down.
+  /// The simulator is deterministic, so a child that exits cleanly proves
+  /// the parent can run the same execution inline; nothing crosses back
+  /// but the exit status.
+  int probe_in_child() {
     const pid_t pid = ::fork();
     BPRC_REQUIRE(pid >= 0, "fork() failed for isolated exploration");
     if (pid == 0) {
-      ::close(fds[0]);
-      child_run_and_report(fds[1]);  // _exits
+      run_and_deliver();
+      _exit(0);  // no parent-side teardown in the child
     }
-    ::close(fds[1]);
-    IsolatedReport rep;
-    const bool reported = recv_report(fds[0], &rep, nprocs_);
-    ::close(fds[0]);
     int status = 0;
-    while (::waitpid(pid, &status, 0) < 0) {
-    }
-    ++enumerated_;
-    const bool clean =
-        reported && WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    if (clean) {
-      for (Node& node : rep.new_nodes) trail_.push_back(std::move(node));
-      for (const auto& [key, depth] : rep.visits) seen_.visit(key, depth);
-      stats_.states_visited += rep.d_states_visited;
-      stats_.states_merged += rep.d_states_merged;
-      stats_.sleep_blocked += rep.d_sleep_blocked;
-      stats_.coin_branches += rep.d_coin_branches;
-      stats_.max_trail_depth =
-          std::max(stats_.max_trail_depth,
-                   static_cast<std::uint64_t>(trail_.size()));
-      LeafSpec spec;
-      spec.flips = std::move(rep.flips);
-      spec.stales = std::move(rep.stales);
-      LeafOutcome out;
-      out.events = std::move(rep.events);
-      out.steps = rep.steps;
-      out.pruned = rep.pruned;
-      out.complete = rep.complete;
-      out.violation = std::move(rep.violation);
-      deliver(spec, std::move(out));
-      return;
-    }
+    pid_t got = -1;
+    do {
+      got = ::waitpid(pid, &status, 0);
+    } while (got < 0 && errno == EINTR);
+    BPRC_REQUIRE(got == pid, "waitpid() failed for isolated exploration");
+    return status;
+  }
 
-    // The child died before reporting. The parent cannot know how the
-    // child extended the trail (computing that would mean executing the
-    // killer protocol here), so it quarantines the whole current branch:
-    // the replay prefix it *does* know — the trail's chosen picks and
-    // coin values, in trail order — becomes the artifact, and backtrack()
-    // moves past the poisoned subtree.
+  /// The probe's child died. The parent cannot know how the child
+  /// extended the trail (computing that would mean executing the killer
+  /// protocol here), so it quarantines the whole current branch: the
+  /// replay prefix it *does* know — the trail's chosen picks and coin
+  /// values, in trail order — becomes the artifact, and backtrack() moves
+  /// past the poisoned subtree.
+  void quarantine(int status) {
+    ++enumerated_;
     LeafSpec spec;
     LeafOutcome out;
     for (const Node& node : trail_) {
@@ -966,7 +740,6 @@ class Explorer final : public FlipTape, public TraceSink {
     }
     out.events.push_back(kEventWorkerCrash);
     out.crashed = true;
-    out.crash_signal = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
     Violation v;
     v.failure = FailureClass::kWorkerCrash;
     v.note = "exploration worker died (";
@@ -983,35 +756,6 @@ class Explorer final : public FlipTape, public TraceSink {
         std::max(stats_.max_trail_depth,
                  static_cast<std::uint64_t>(trail_.size()));
     deliver(spec, std::move(out));
-  }
-
-  /// Child side of execute_isolated: run + grade inline, report the DFS
-  /// delta, and exit without running any parent-side teardown.
-  [[noreturn]] void child_run_and_report(int fd) {
-    const std::size_t base_nodes = trail_.size();
-    std::vector<std::pair<std::uint64_t, std::uint8_t>> visits;
-    visit_log_ = &visits;
-    const ExploreStats before = stats_;
-    const RunResult run = run_core();
-    IsolatedReport rep;
-    rep.pruned = pruned_;
-    rep.steps = run.steps;
-    rep.events = std::move(exec_events_);
-    rep.flips = std::move(exec_flips_);
-    rep.stales = std::move(exec_stales_);
-    if (!pruned_) {
-      rep.complete = run.reason == RunResult::Reason::kAllDone;
-      rep.violation = instance_->check(*runtime_, run, rep.complete);
-    }
-    rep.new_nodes.assign(trail_.begin() + static_cast<std::ptrdiff_t>(base_nodes),
-                         trail_.end());
-    rep.visits = std::move(visits);
-    rep.d_states_visited = stats_.states_visited - before.states_visited;
-    rep.d_states_merged = stats_.states_merged - before.states_merged;
-    rep.d_sleep_blocked = stats_.sleep_blocked - before.sleep_blocked;
-    rep.d_coin_branches = stats_.coin_branches - before.coin_branches;
-    send_report(fd, rep, nprocs_);
-    _exit(0);
   }
 
   /// Advances the trail to the next unexplored branch; false = done.
@@ -1101,7 +845,9 @@ class Explorer final : public FlipTape, public TraceSink {
     h = fnv_mix(h, static_cast<std::uint64_t>(limits_.max_violations));
     h = fnv_mix(h, static_cast<std::uint64_t>(limits_.sleep_sets));
     h = fnv_mix(h, static_cast<std::uint64_t>(limits_.state_cache));
-    h = fnv_mix(h, static_cast<std::uint64_t>(limits_.compact_cache));
+    // Constant 1 in the slot of the retired seen-cache layout flag, so
+    // `.bprc-frontier` files written before it went still resume.
+    h = fnv_mix(h, 1);
     h = fnv_mix(h, limits_.max_cache_bytes);
     h = fnv_mix(h, static_cast<std::uint64_t>(limits_.isolate_leaves));
     h = fnv_mix(h, limits_.split_index);
@@ -1184,7 +930,6 @@ class Explorer final : public FlipTape, public TraceSink {
   ExploreTarget& target_;
   const ExploreLimits limits_;
   const std::uint64_t seed_;
-  const bool reuse_;
   const int nprocs_;
   const FrontierOptions frontier_;
   Mode mode_ = Mode::kInline;
@@ -1208,9 +953,6 @@ class Explorer final : public FlipTape, public TraceSink {
   std::vector<bool> exec_flips_;
   std::vector<int> exec_stales_;    ///< forced stale choices (replay prefix)
   std::vector<std::uint8_t> exec_events_;  ///< leaf_grader.hpp encoding
-  /// When set (isolated child), every seen-cache visit is logged so the
-  /// parent can replay it on its own cache.
-  std::vector<std::pair<std::uint64_t, std::uint8_t>>* visit_log_ = nullptr;
 
   // Fingerprint state (reset per execution).
   int next_object_ = 0;
@@ -1247,9 +989,8 @@ int ExploreShim::resolve_read(SimCtl&, const StaleRead& sr) {
 }  // namespace
 
 ExploreResult explore(ExploreTarget& target, const ExploreLimits& limits,
-                      std::uint64_t seed, bool reuse_runtime,
-                      const FrontierOptions* frontier) {
-  Explorer explorer(target, limits, seed, reuse_runtime, frontier);
+                      std::uint64_t seed, const FrontierOptions* frontier) {
+  Explorer explorer(target, limits, seed, frontier);
   return explorer.run();
 }
 

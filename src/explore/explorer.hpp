@@ -79,17 +79,15 @@ struct ExploreLimits {
   /// generation-order delivery (docs/PERFORMANCE.md "explorer
   /// deep-scale").
   unsigned grade_jobs = 1;
-  /// Seen-state cache layout: the compact open-addressing table
-  /// (default) or the legacy unordered_map. Merge decisions are
-  /// bit-identical either way; the determinism tests cross them.
-  bool compact_cache = true;
-  /// Cache memory budget in bytes (compact layout only; 0 = unbounded).
+  /// Seen-state cache memory budget in bytes (0 = unbounded).
   /// Over budget the cache evicts deep entries instead of growing —
   /// sound (fewer prunes, never a skipped state), bounded.
   std::uint64_t max_cache_bytes = 0;
-  /// Grade each leaf in a fork()ed child so a process-killing protocol
-  /// (broken-segv) surfaces as kWorkerCrash instead of taking the DFS
-  /// down. Forces grade_jobs <= 1 (fork and worker threads do not mix).
+  /// Probe each execution in a fork()ed child first, so a
+  /// process-killing protocol (broken-segv) surfaces as kWorkerCrash
+  /// instead of taking the DFS down; a child that exits cleanly is
+  /// re-run inline (the simulator is deterministic). Forces
+  /// grade_jobs <= 1 (fork and worker threads do not mix).
   bool isolate_leaves = false;
   /// Frontier split: restrict the root scheduling point to candidates
   /// whose rank satisfies rank % split_count == split_index, so k
@@ -112,13 +110,13 @@ struct ExploreStats {
   std::uint64_t stale_branches = 0;  ///< stale reads branched over values
   std::uint64_t max_trail_depth = 0;
   std::uint64_t total_steps = 0;     ///< simulator steps over all runs
-  std::uint64_t worker_crashes = 0;  ///< isolated grading workers that died
+  std::uint64_t worker_crashes = 0;  ///< isolation probes that died
   std::uint64_t cache_entries = 0;      ///< seen-state entries at the end
   std::uint64_t peak_cache_bytes = 0;   ///< high-water cache footprint
   std::uint64_t cache_evictions = 0;    ///< budget-forced depth evictions
   /// FNV-1a over every executed pick and forced flip of every execution,
   /// in DFS order. Two explorations that visit the same tree the same way
-  /// — e.g. fresh-runtime vs SimRuntime::reset() reuse — match digests.
+  /// — e.g. at different grade_jobs levels — match digests.
   std::uint64_t schedule_digest = kFnvOffset;
   double seconds = 0.0;
   /// True iff the bounded tree was exhausted (no safety valve fired).
@@ -203,12 +201,12 @@ struct FrontierOptions {
 
 /// Explores every schedule of `target` within `limits`. `seed` derives the
 /// per-process coins used beyond the forced-flip budget (and must match
-/// the seed later used to replay a violation). `reuse_runtime` recycles
-/// one SimRuntime across executions via reset(); results are bit-identical
-/// either way (tests/test_sim_runtime.cpp pins this). `frontier`
-/// (optional) enables checkpoint/resume; see FrontierOptions.
+/// the seed later used to replay a violation). One SimRuntime is recycled
+/// across executions via reset(); tests/test_sim_runtime.cpp pins the
+/// resulting digests. `frontier` (optional) enables checkpoint/resume;
+/// see FrontierOptions.
 ExploreResult explore(ExploreTarget& target, const ExploreLimits& limits,
-                      std::uint64_t seed, bool reuse_runtime = true,
+                      std::uint64_t seed,
                       const FrontierOptions* frontier = nullptr);
 
 }  // namespace explore

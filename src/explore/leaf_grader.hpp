@@ -21,8 +21,8 @@
 //   0xF1   — local-coin flip resolved true
 //   0x80+c — stale read resolved to choice c (weakened register
 //            semantics only; c < 6 keeps these below 0xCF)
-//   0xCF   — the fork()ed worker of an `--isolate` execution died
-//            before reporting (explorer.cpp)
+//   0xCF   — the fork()ed probe of an `--isolate` execution died, so
+//            the branch was quarantined instead of run (explorer.cpp)
 #pragma once
 
 #include <cstdint>
@@ -60,8 +60,7 @@ struct LeafOutcome {
   std::uint64_t steps = 0;
   bool pruned = false;
   bool complete = false;  ///< RunResult::Reason::kAllDone
-  bool crashed = false;   ///< isolated worker died before reporting
-  int crash_signal = 0;   ///< signal that killed it, 0 if plain exit
+  bool crashed = false;   ///< isolation probe died; branch quarantined
   std::optional<Violation> violation;
 };
 

@@ -1,39 +1,28 @@
 // Seen-state cache for the exploration driver: fingerprint → shallowest
 // depth at which the state was expanded.
 //
-// Two interchangeable layouts sit behind one visit() contract, chosen at
-// construction (the determinism tests cross them):
+// Open-addressing, power-of-two table with linear probing over parallel
+// arrays: 8-byte full fingerprint keys plus 1-byte quantized depth tags,
+// ≤0.5 load factor — 18 bytes/state at full load and allocation-free per
+// visit. Keys keep all 64 fingerprint bits, so merge/redo decisions are
+// those of an exact fingerprint → depth map (tests/test_explore_deepscale.cpp
+// checks the table against one).
 //
-//   * kMap — the seed implementation, a std::unordered_map. Kept as the
-//     parity reference; at ~56 accounted bytes/state (node allocation,
-//     next pointer, bucket array) it is the explorer's memory ceiling
-//     long before deep n=4 trees are exhausted.
-//   * kCompact — open-addressing, power-of-two table with linear probing
-//     over parallel arrays: 8-byte full fingerprint keys plus 1-byte
-//     quantized depth tags, ≤0.5 load factor. 18 bytes/state at full
-//     load, ~4× down from the map's budget, and allocation-free per
-//     visit. Keys keep all 64 fingerprint bits, so merge/redo decisions
-//     are bit-identical to the map.
+// Depths are quantized to 8 bits; the explorer requires branch_depth ≤ 255
+// when the cache is on (depths beyond the branch region are never cached).
+// Key 0 is the empty-slot marker — callers canonicalize a zero fingerprint
+// to a fixed non-zero constant before visiting.
 //
-// Depths are quantized to 8 bits in BOTH layouts; the explorer requires
-// branch_depth ≤ 255 when the cache is on (depths beyond the branch
-// region are never cached). Key 0 is the empty-slot marker — callers
-// canonicalize a zero fingerprint to a fixed non-zero constant before
-// visiting, in both layouts, so the choice of layout never changes which
-// states merge.
-//
-// Optional budget (`max_bytes`, compact only): when doubling the table
-// would exceed it, the cache instead *evicts by depth* — it keeps the
-// shallowest entries (each guards the largest subtree) up to a cutoff
-// that frees at least half the table, and refuses to store deeper states
-// from then on. Dropping entries is sound: a missing entry means a
-// revisited state is re-explored, never that one is skipped. The trade
-// is prune ratio for boundedness, and `evictions()` reports how often it
-// was taken.
+// Optional budget (`max_bytes`): when doubling the table would exceed
+// it, the cache instead *evicts by depth* — it keeps the shallowest
+// entries (each guards the largest subtree) up to a cutoff that frees at
+// least half the table, and refuses to store deeper states from then on.
+// Dropping entries is sound: a missing entry means a revisited state is
+// re-explored, never that one is skipped. The trade is prune ratio for
+// boundedness, and `evictions()` reports how often it was taken.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -41,39 +30,25 @@
 
 namespace bprc::explore {
 
-/// The canonical stand-in for a zero fingerprint (kCompact reserves raw
-/// key 0 as "empty slot"); applied by callers in both layouts.
+/// The canonical stand-in for a zero fingerprint (raw key 0 marks an
+/// empty slot); applied by callers before visiting.
 inline constexpr std::uint64_t kSeenZeroKey = 0x9E3779B97F4A7C15ULL;
 
 class SeenCache {
  public:
-  enum class Layout { kMap, kCompact };
   enum class Visit {
     kNew,     ///< first time here (at any depth): explore the subtree
     kMerged,  ///< seen at this depth or shallower: prune
     kRedo,    ///< seen only deeper: re-explore (and remember the new depth)
   };
 
-  explicit SeenCache(Layout layout, std::uint64_t max_bytes = 0)
-      : layout_(layout), budget_(max_bytes) {
-    if (layout_ == Layout::kCompact) rehash(kInitialCapacity);
+  explicit SeenCache(std::uint64_t max_bytes = 0) : budget_(max_bytes) {
+    rehash(kInitialCapacity);
     note_bytes();
   }
 
-  Layout layout() const { return layout_; }
-
   Visit visit(std::uint64_t key, std::uint8_t depth) {
     BPRC_REQUIRE(key != 0, "zero fingerprints must be canonicalized");
-    if (layout_ == Layout::kMap) {
-      const auto [it, inserted] = map_.try_emplace(key, depth);
-      if (inserted) {
-        note_bytes();
-        return Visit::kNew;
-      }
-      if (it->second <= depth) return Visit::kMerged;
-      it->second = depth;
-      return Visit::kRedo;
-    }
     const std::size_t slot = find_slot(key);
     if (keys_[slot] == key) {
       if (depths_[slot] <= depth) return Visit::kMerged;
@@ -88,17 +63,10 @@ class SeenCache {
     return Visit::kNew;
   }
 
-  std::uint64_t entries() const {
-    return layout_ == Layout::kMap ? map_.size() : size_;
-  }
+  std::uint64_t entries() const { return size_; }
 
-  /// Accounted footprint right now. Map: per-node allocation (key+depth
-  /// payload padded to 16, next pointer, ~24 bytes allocator rounding)
-  /// plus the bucket array. Compact: the parallel arrays.
+  /// Accounted footprint right now: the parallel arrays.
   std::uint64_t bytes() const {
-    if (layout_ == Layout::kMap) {
-      return map_.size() * 48 + map_.bucket_count() * 8;
-    }
     return keys_.size() * (sizeof(std::uint64_t) + sizeof(std::uint8_t));
   }
 
@@ -106,14 +74,9 @@ class SeenCache {
   std::uint64_t evictions() const { return evictions_; }
 
   /// Serializes every (key, depth) entry, for frontier checkpoints. Order
-  /// is deterministic for a deterministic history (slot / bucket order).
+  /// is deterministic for a deterministic history (slot order).
   void snapshot(std::vector<std::pair<std::uint64_t, std::uint8_t>>* out) const {
     out->clear();
-    if (layout_ == Layout::kMap) {
-      out->reserve(map_.size());
-      for (const auto& [k, d] : map_) out->emplace_back(k, d);
-      return;
-    }
     out->reserve(size_);
     for (std::size_t i = 0; i < keys_.size(); ++i) {
       if (keys_[i] != 0) out->emplace_back(keys_[i], depths_[i]);
@@ -124,12 +87,6 @@ class SeenCache {
   /// independent of insertion order, so a restored cache merges exactly
   /// like the one it was saved from.
   void restore(const std::vector<std::pair<std::uint64_t, std::uint8_t>>& in) {
-    if (layout_ == Layout::kMap) {
-      map_.clear();
-      for (const auto& [k, d] : in) map_.emplace(k, d);
-      note_bytes();
-      return;
-    }
     std::size_t cap = kInitialCapacity;
     while (cap < in.size() * 2 + 1) cap *= 2;
     rehash(cap);
@@ -224,12 +181,9 @@ class SeenCache {
     if (b > peak_bytes_) peak_bytes_ = b;
   }
 
-  Layout layout_;
   std::uint64_t budget_;
 
-  std::unordered_map<std::uint64_t, std::uint8_t> map_;  // kMap
-
-  std::vector<std::uint64_t> keys_;   // kCompact; 0 = empty slot
+  std::vector<std::uint64_t> keys_;  // 0 = empty slot
   std::vector<std::uint8_t> depths_;
   std::size_t size_ = 0;
   int insert_cutoff_ = 255;  ///< depths beyond this are not stored

@@ -26,7 +26,6 @@ namespace bprc::explore {
 /// exhaustive (explore_token_game asserts this).
 ExploreResult explore_token_game(int n, int K, int moves_per_proc,
                                  const ExploreLimits& limits,
-                                 std::uint64_t seed,
-                                 bool reuse_runtime = true);
+                                 std::uint64_t seed);
 
 }  // namespace bprc::explore

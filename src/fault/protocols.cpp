@@ -19,50 +19,60 @@ const std::vector<ProtocolSpec>& protocol_registry() {
   // tolerates_safe_reads=false — safe-register junk trips its always-on
   // edge-counter decode invariant, which aborts rather than grades.
   static const std::vector<ProtocolSpec> registry = {
-      {"bprc", false, true, /*live_under_stale_reads=*/false,
-       /*tolerates_safe_reads=*/false,
-       [](int n, std::uint64_t, const SpaceBudget& space) -> ProtocolFactory {
+      {.name = "bprc",
+       .live_under_stale_reads = false,
+       .tolerates_safe_reads = false,
+       .space_sensitive = true,
+       .make = [](int n, std::uint64_t,
+                  const SpaceBudget& space) -> ProtocolFactory {
          return [n, space](Runtime& rt) {
            return std::make_unique<BPRCConsensus>(
                rt, BPRCParams::from_budget(n, space));
          };
-       },
-       /*space_sensitive=*/true},
+       }},
       // space_sensitive via the barrier b only: AH's counters are
       // unbounded, so K/cycle/slots/mscale have nothing to act on.
-      {"aspnes-herlihy", false, true, /*live_under_stale_reads=*/false, true,
-       [](int n, std::uint64_t, const SpaceBudget& space) -> ProtocolFactory {
+      {.name = "aspnes-herlihy",
+       .live_under_stale_reads = false,
+       .space_sensitive = true,
+       .make = [](int n, std::uint64_t,
+                  const SpaceBudget& space) -> ProtocolFactory {
          return [n, space](Runtime& rt) {
            return std::make_unique<AspnesHerlihyConsensus>(
                rt, CoinParams::standard(n, space.b));
          };
-       },
-       /*space_sensitive=*/true},
+       }},
       // crash_tolerant=false: this simplified A88 baseline omits the
       // paper's timestamp machinery and livelocks when crashed processes
       // freeze conflicting preferences (torture-campaign finding).
-      {"local-coin", false, false, /*live_under_stale_reads=*/false, true,
-       [](int, std::uint64_t, const SpaceBudget&) -> ProtocolFactory {
+      {.name = "local-coin",
+       .crash_tolerant = false,
+       .live_under_stale_reads = false,
+       .make = [](int, std::uint64_t, const SpaceBudget&) -> ProtocolFactory {
          return [](Runtime& rt) {
            return std::make_unique<LocalCoinConsensus>(rt);
          };
        }},
-      {"strong-coin", false, true, /*live_under_stale_reads=*/false, true,
-       [](int, std::uint64_t seed, const SpaceBudget&) -> ProtocolFactory {
+      {.name = "strong-coin",
+       .live_under_stale_reads = false,
+       .make = [](int, std::uint64_t seed,
+                  const SpaceBudget&) -> ProtocolFactory {
          return [seed](Runtime& rt) {
            return std::make_unique<StrongCoinConsensus>(rt, seed ^ 0xC01);
          };
        }},
-      {"broken-racy", true, true, true, true,
-       [](int, std::uint64_t, const SpaceBudget&) -> ProtocolFactory {
+      {.name = "broken-racy",
+       .broken = true,
+       .make = [](int, std::uint64_t, const SpaceBudget&) -> ProtocolFactory {
          return [](Runtime& rt) { return std::make_unique<RacyConsensus>(rt); };
        }},
       // Bounded-memory violator: agreement-safe under unanimous inputs,
       // blows its declared counter bound only under (partially)
       // serialized schedules — the explorer's acceptance target for
       // catching schedule-dependent footprint bugs exhaustively.
-      {"broken-unbounded", true, true, true, true,
-       [](int, std::uint64_t, const SpaceBudget&) -> ProtocolFactory {
+      {.name = "broken-unbounded",
+       .broken = true,
+       .make = [](int, std::uint64_t, const SpaceBudget&) -> ProtocolFactory {
          return [](Runtime& rt) {
            return std::make_unique<UnboundedHandoffConsensus>(rt);
          };
@@ -74,33 +84,41 @@ const std::vector<ProtocolSpec>& protocol_registry() {
       // the demand latch, on exactly the schedules where the deficit is
       // actually exercised (a lockstep run never is). Traits mirror
       // `bprc`: the underlying protocol is unchanged.
-      {"bprc-underprov-cycle", true, true, /*live_under_stale_reads=*/false,
-       /*tolerates_safe_reads=*/false,
-       [](int n, std::uint64_t, const SpaceBudget& space) -> ProtocolFactory {
+      {.name = "bprc-underprov-cycle",
+       .broken = true,
+       .live_under_stale_reads = false,
+       .tolerates_safe_reads = false,
+       .space_sensitive = true,
+       .make = [](int n, std::uint64_t,
+                  const SpaceBudget& space) -> ProtocolFactory {
          SpaceBudget s = space;
          s.cycle_mult = 2;  // 2K-cell cycle: |s| = K aliases with −K
          return [n, s](Runtime& rt) {
            return std::make_unique<BPRCConsensus>(
                rt, BPRCParams::from_budget(n, s));
          };
-       },
-       /*space_sensitive=*/true},
-      {"bprc-underprov-slots", true, true, /*live_under_stale_reads=*/false,
-       /*tolerates_safe_reads=*/false,
-       [](int n, std::uint64_t, const SpaceBudget& space) -> ProtocolFactory {
+       }},
+      {.name = "bprc-underprov-slots",
+       .broken = true,
+       .live_under_stale_reads = false,
+       .tolerates_safe_reads = false,
+       .space_sensitive = true,
+       .make = [](int n, std::uint64_t,
+                  const SpaceBudget& space) -> ProtocolFactory {
          SpaceBudget s = space;
          s.slots = s.K;  // one short: no slack round for racing readers
          return [n, s](Runtime& rt) {
            return std::make_unique<BPRCConsensus>(
                rt, BPRCParams::from_budget(n, s));
          };
-       },
-       /*space_sensitive=*/true},
+       }},
       // Correct over atomic registers, broken over regular/safe ones: the
       // weak-register tier's acceptance target (docs/REGISTER_SEMANTICS.md).
       // crash_tolerant=false: readers spin on process 0's announce flag.
-      {"broken-needs-atomic", true, false, true, true,
-       [](int, std::uint64_t, const SpaceBudget&) -> ProtocolFactory {
+      {.name = "broken-needs-atomic",
+       .broken = true,
+       .crash_tolerant = false,
+       .make = [](int, std::uint64_t, const SpaceBudget&) -> ProtocolFactory {
          return [](Runtime& rt) {
            return std::make_unique<NeedsAtomicConsensus>(rt);
          };
@@ -111,15 +129,17 @@ const std::vector<ProtocolSpec>& protocol_registry() {
       // indices as kWorkerCrash and finish the campaign; everything
       // single-process dies, by design. crash_tolerant=false: the benign
       // path spins on all n slots, so starvation shows as budget aborts.
-      {"broken-segv", true, false, true, true,
-       [](int, std::uint64_t seed, const SpaceBudget&) -> ProtocolFactory {
+      {.name = "broken-segv",
+       .broken = true,
+       .crash_tolerant = false,
+       .crashes_process = true,
+       .make = [](int, std::uint64_t seed,
+                  const SpaceBudget&) -> ProtocolFactory {
          const bool lethal = (seed % 2) == 0;
          return [lethal](Runtime& rt) {
            return std::make_unique<WorkerKillerConsensus>(rt, lethal);
          };
-       },
-       /*space_sensitive=*/false,
-       /*crashes_process=*/true},
+       }},
   };
   return registry;
 }

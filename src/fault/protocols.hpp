@@ -17,6 +17,8 @@
 
 namespace bprc::fault {
 
+/// One registry row. The registry spells every row with designated
+/// initializers, naming only the traits that differ from these defaults.
 struct ProtocolSpec {
   std::string name;
   bool broken = false;  ///< test-hook protocol with a seeded bug
@@ -48,15 +50,6 @@ struct ProtocolSpec {
   /// false, kSafe cells are skipped and counted (the crash-cell
   /// precedent) instead of taking down the campaign.
   bool tolerates_safe_reads = true;
-  /// Builds a factory for an n-process instance; `seed` feeds protocol
-  /// internals that want independent randomness (e.g. the strong coin);
-  /// `space` is the campaign's SpaceBudget, which only space-sensitive
-  /// protocols consume (the others are built from their own constants
-  /// and skipped at non-default budgets — see the campaign's
-  /// skipped_space_cells counter).
-  std::function<ProtocolFactory(int n, std::uint64_t seed,
-                                const SpaceBudget& space)>
-      make;
   /// Whether the protocol's layout actually responds to a SpaceBudget.
   /// True for the paper's protocol (every knob) and Aspnes–Herlihy (the
   /// barrier b; its counters are unbounded so m is moot). Campaigns
@@ -70,6 +63,15 @@ struct ProtocolSpec {
   /// smoke, default campaigns) never take down their own process. Only
   /// an explicit name lookup (protocol_spec / --protocol) reaches it.
   bool crashes_process = false;
+  /// Builds a factory for an n-process instance; `seed` feeds protocol
+  /// internals that want independent randomness (e.g. the strong coin);
+  /// `space` is the campaign's SpaceBudget, which only space-sensitive
+  /// protocols consume (the others are built from their own constants
+  /// and skipped at non-default budgets — see the campaign's
+  /// skipped_space_cells counter).
+  std::function<ProtocolFactory(int n, std::uint64_t seed,
+                                const SpaceBudget& space)>
+      make;
 };
 
 /// Every protocol the harness can drive; real protocols first.

@@ -1,13 +1,15 @@
 // Tests for the explorer's deep-scale layers (src/explore/): engine-
 // batched leaf grading (digest byte-equality across jobs levels), the
-// compact seen-state cache (layout parity, budgeted eviction), frontier
-// checkpoint/resume (resumed digest == uninterrupted digest), frontier
-// splitting, and fork-isolated grading of process-killing protocols.
+// compact seen-state cache (against a map model, budgeted eviction),
+// frontier checkpoint/resume (resumed digest == uninterrupted digest,
+// pinned fingerprint), frontier splitting, and fork-isolated exploration
+// of process-killing protocols.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -47,32 +49,20 @@ ConsensusExploreReport run_cell(const std::string& protocol,
 // ---------------------------------------------------------------------------
 
 TEST(DeepScale, DigestIsInvariantAcrossJobsAndCacheLayout) {
-  // The full cross-matrix the deep-scale contract promises: serial vs
-  // batched grading × map vs compact cache, all four byte-identical.
-  const ExploreLimits base = cell_limits(12);
-  ConsensusExploreReport reference;
-  bool first = true;
+  // Serial vs batched grading land on the same tree and digest. The
+  // pinned values are the ones every grading level and both seen-cache
+  // layouts (compact table, retired unordered_map) produced.
   for (const unsigned jobs : {1u, 4u}) {
-    for (const bool compact : {false, true}) {
-      ExploreLimits limits = base;
-      limits.grade_jobs = jobs;
-      limits.compact_cache = compact;
-      const ConsensusExploreReport report =
-          run_cell("bprc", {0, 1, 1}, limits);
-      ASSERT_TRUE(report.ok());
-      ASSERT_TRUE(report.stats.complete);
-      if (first) {
-        reference = report;
-        first = false;
-        continue;
-      }
-      EXPECT_EQ(report.stats.schedule_digest,
-                reference.stats.schedule_digest)
-          << "jobs=" << jobs << " compact=" << compact;
-      EXPECT_EQ(report.stats.executions, reference.stats.executions);
-      EXPECT_EQ(report.stats.states_visited, reference.stats.states_visited);
-      EXPECT_EQ(report.stats.states_merged, reference.stats.states_merged);
-    }
+    ExploreLimits limits = cell_limits(12);
+    limits.grade_jobs = jobs;
+    const ConsensusExploreReport report = run_cell("bprc", {0, 1, 1}, limits);
+    ASSERT_TRUE(report.ok());
+    ASSERT_TRUE(report.stats.complete);
+    EXPECT_EQ(report.stats.schedule_digest, 0x2506cf466fa9d04aULL)
+        << "jobs=" << jobs;
+    EXPECT_EQ(report.stats.executions, 218u) << "jobs=" << jobs;
+    EXPECT_EQ(report.stats.states_visited, 505u) << "jobs=" << jobs;
+    EXPECT_EQ(report.stats.states_merged, 0u) << "jobs=" << jobs;
   }
 }
 
@@ -112,28 +102,33 @@ TEST(DeepScale, EarlyStopPicksTheSameFirstViolation) {
 }
 
 // ---------------------------------------------------------------------------
-// SeenCache: layout parity, depth semantics, budgeted eviction
+// SeenCache: map-model parity, depth semantics, budgeted eviction
 // ---------------------------------------------------------------------------
 
 TEST(SeenCacheTest, DepthSemantics) {
-  for (const auto layout : {SeenCache::Layout::kMap,
-                            SeenCache::Layout::kCompact}) {
-    SeenCache cache(layout);
-    EXPECT_EQ(cache.visit(42, 5), SeenCache::Visit::kNew);
-    EXPECT_EQ(cache.visit(42, 5), SeenCache::Visit::kMerged);
-    EXPECT_EQ(cache.visit(42, 9), SeenCache::Visit::kMerged);
-    // Shallower revisit: the guarded subtree is larger — re-explore.
-    EXPECT_EQ(cache.visit(42, 2), SeenCache::Visit::kRedo);
-    EXPECT_EQ(cache.visit(42, 3), SeenCache::Visit::kMerged);
-    EXPECT_EQ(cache.entries(), 1u);
-  }
+  SeenCache cache;
+  EXPECT_EQ(cache.visit(42, 5), SeenCache::Visit::kNew);
+  EXPECT_EQ(cache.visit(42, 5), SeenCache::Visit::kMerged);
+  EXPECT_EQ(cache.visit(42, 9), SeenCache::Visit::kMerged);
+  // Shallower revisit: the guarded subtree is larger — re-explore.
+  EXPECT_EQ(cache.visit(42, 2), SeenCache::Visit::kRedo);
+  EXPECT_EQ(cache.visit(42, 3), SeenCache::Visit::kMerged);
+  EXPECT_EQ(cache.entries(), 1u);
 }
 
 TEST(SeenCacheTest, LayoutsMakeIdenticalDecisions) {
-  // A pseudo-random visit stream must produce the identical verdict
-  // sequence in both layouts — the explorer's digest depends on it.
-  SeenCache map(SeenCache::Layout::kMap);
-  SeenCache compact(SeenCache::Layout::kCompact);
+  // A pseudo-random visit stream must produce the verdict sequence of an
+  // exact fingerprint → shallowest-depth map — the explorer's digest
+  // depends on it. The map is the reference model.
+  std::unordered_map<std::uint64_t, std::uint8_t> model;
+  const auto model_visit = [&](std::uint64_t key, std::uint8_t depth) {
+    const auto [it, inserted] = model.try_emplace(key, depth);
+    if (inserted) return SeenCache::Visit::kNew;
+    if (it->second <= depth) return SeenCache::Visit::kMerged;
+    it->second = depth;
+    return SeenCache::Visit::kRedo;
+  };
+  SeenCache compact;
   std::uint64_t x = 0x9E3779B97F4A7C15ULL;
   for (int i = 0; i < 20'000; ++i) {
     x ^= x << 13;
@@ -142,14 +137,14 @@ TEST(SeenCacheTest, LayoutsMakeIdenticalDecisions) {
     // Small key space forces plenty of revisits at varying depths.
     std::uint64_t key = (x % 4096) + 1;
     const std::uint8_t depth = static_cast<std::uint8_t>((x >> 20) % 32);
-    ASSERT_EQ(map.visit(key, depth), compact.visit(key, depth)) << i;
+    ASSERT_EQ(model_visit(key, depth), compact.visit(key, depth)) << i;
   }
-  EXPECT_EQ(map.entries(), compact.entries());
+  EXPECT_EQ(model.size(), compact.entries());
 }
 
 TEST(SeenCacheTest, CompactStaysUnderBudgetByEvicting) {
   const std::uint64_t budget = 64 * 1024;
-  SeenCache cache(SeenCache::Layout::kCompact, budget);
+  SeenCache cache(budget);
   std::uint64_t x = 1;
   for (int i = 0; i < 200'000; ++i) {
     x ^= x << 13;
@@ -162,33 +157,30 @@ TEST(SeenCacheTest, CompactStaysUnderBudgetByEvicting) {
   EXPECT_GT(cache.evictions(), 0u);
   EXPECT_LE(cache.peak_bytes(), budget);
   // Shallow entries survive eviction: depth-0 states re-merge.
-  SeenCache shallow(SeenCache::Layout::kCompact, budget);
+  SeenCache shallow(budget);
   EXPECT_EQ(shallow.visit(7, 0), SeenCache::Visit::kNew);
   EXPECT_EQ(shallow.visit(7, 0), SeenCache::Visit::kMerged);
 }
 
 TEST(SeenCacheTest, SnapshotRestoreRoundTrips) {
-  for (const auto layout : {SeenCache::Layout::kMap,
-                            SeenCache::Layout::kCompact}) {
-    SeenCache cache(layout);
-    std::uint64_t x = 3;
-    for (int i = 0; i < 5'000; ++i) {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      cache.visit(x, static_cast<std::uint8_t>(x % 17));
-    }
-    std::vector<std::pair<std::uint64_t, std::uint8_t>> snap;
-    cache.snapshot(&snap);
-    ASSERT_EQ(snap.size(), cache.entries());
-    SeenCache restored(layout);
-    restored.restore(snap);
-    EXPECT_EQ(restored.entries(), cache.entries());
-    // Every saved entry merges at its recorded depth in the restored
-    // cache — the property resume correctness rests on.
-    for (const auto& [key, depth] : snap) {
-      EXPECT_EQ(restored.visit(key, depth), SeenCache::Visit::kMerged);
-    }
+  SeenCache cache;
+  std::uint64_t x = 3;
+  for (int i = 0; i < 5'000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    cache.visit(x, static_cast<std::uint8_t>(x % 17));
+  }
+  std::vector<std::pair<std::uint64_t, std::uint8_t>> snap;
+  cache.snapshot(&snap);
+  ASSERT_EQ(snap.size(), cache.entries());
+  SeenCache restored;
+  restored.restore(snap);
+  EXPECT_EQ(restored.entries(), cache.entries());
+  // Every saved entry merges at its recorded depth in the restored
+  // cache — the property resume correctness rests on.
+  for (const auto& [key, depth] : snap) {
+    EXPECT_EQ(restored.visit(key, depth), SeenCache::Visit::kMerged);
   }
 }
 
@@ -430,6 +422,31 @@ TEST(CheckpointResume, CompleteFrontierShortCircuits) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointResume, FingerprintIsPinned) {
+  // The config fingerprint is what lets a saved `.bprc-frontier` resume:
+  // any change to what it folds orphans every checkpoint on disk. The
+  // pinned value is what `bprc_explore --protocol bprc --n 3 --inputs
+  // 0,1,1 --depth 14 --coin-flips 2 --max-executions 400
+  // --checkpoint-out F` writes.
+  const std::string path =
+      testing::TempDir() + "/deepscale_fingerprint.bprc-frontier";
+  ExploreLimits limits;
+  limits.branch_depth = 14;
+  limits.max_coin_flips = 2;
+  limits.max_executions = 400;
+  FrontierOptions fresh;
+  fresh.checkpoint_path = path;
+  const ConsensusExploreReport report =
+      run_cell("bprc", {0, 1, 1}, limits, &fresh);
+  EXPECT_FALSE(report.stats.complete);
+  EXPECT_EQ(report.stats.executions, 400u);
+  std::string err;
+  const auto frontier = load_frontier(path, &err);
+  ASSERT_TRUE(frontier.has_value()) << err;
+  EXPECT_EQ(frontier->fingerprint, 0x32ac216b37f73478ULL);
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Frontier splitting: slices partition the root branching
 // ---------------------------------------------------------------------------
@@ -456,7 +473,7 @@ TEST(DeepScale, SplitSlicesPartitionTheTree) {
 }
 
 // ---------------------------------------------------------------------------
-// Isolated grading: a process-killing protocol cannot take the DFS down
+// Isolated exploration: a process-killing protocol cannot take the DFS down
 // ---------------------------------------------------------------------------
 
 TEST(Isolate, BenignSegvSeedExploresClean) {

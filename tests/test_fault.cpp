@@ -49,6 +49,46 @@ TEST(ProtocolRegistry, SpaceSensitivityTraits) {
   }
 }
 
+TEST(ProtocolRegistry, EveryRowPinsItsTraits) {
+  // One row per registered protocol, in registry order: a flipped trait
+  // silently changes which campaign cells run or how their failures are
+  // counted, so every trait of every protocol is pinned here.
+  struct Row {
+    const char* name;
+    bool broken, crash_tolerant, live_under_stale_reads,
+        tolerates_safe_reads, space_sensitive, crashes_process;
+  };
+  const std::vector<Row> expected = {
+      // name                    brk    crash  stale  safe   space  kills
+      {"bprc",                  false, true,  false, false, true,  false},
+      {"aspnes-herlihy",        false, true,  false, true,  true,  false},
+      {"local-coin",            false, false, false, true,  false, false},
+      {"strong-coin",           false, true,  false, true,  false, false},
+      {"broken-racy",           true,  true,  true,  true,  false, false},
+      {"broken-unbounded",      true,  true,  true,  true,  false, false},
+      {"bprc-underprov-cycle",  true,  true,  false, false, true,  false},
+      {"bprc-underprov-slots",  true,  true,  false, false, true,  false},
+      {"broken-needs-atomic",   true,  false, true,  true,  false, false},
+      {"broken-segv",           true,  false, true,  true,  false, true},
+  };
+  const auto& registry = protocol_registry();
+  ASSERT_EQ(registry.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const ProtocolSpec& spec = registry[i];
+    const Row& row = expected[i];
+    EXPECT_EQ(spec.name, row.name) << i;
+    EXPECT_EQ(spec.broken, row.broken) << row.name;
+    EXPECT_EQ(spec.crash_tolerant, row.crash_tolerant) << row.name;
+    EXPECT_EQ(spec.live_under_stale_reads, row.live_under_stale_reads)
+        << row.name;
+    EXPECT_EQ(spec.tolerates_safe_reads, row.tolerates_safe_reads)
+        << row.name;
+    EXPECT_EQ(spec.space_sensitive, row.space_sensitive) << row.name;
+    EXPECT_EQ(spec.crashes_process, row.crashes_process) << row.name;
+    EXPECT_TRUE(static_cast<bool>(spec.make)) << row.name;
+  }
+}
+
 TEST(Repro, ParseRejectsMalformedInput) {
   std::string err;
   EXPECT_FALSE(parse_repro("", &err).has_value());

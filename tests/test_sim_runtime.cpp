@@ -279,23 +279,18 @@ TEST(SimRuntime, RegistersThroughRuntimeCountSteps) {
 TEST(SimRuntime, ExplorationIsIdenticalUnderResetReuse) {
   // The exploration driver (src/explore/) recycles one SimRuntime across
   // tens of thousands of executions via reset(); the state counts and the
-  // FNV digest over every executed pick and forced flip must match a
-  // fresh-runtime-per-execution exploration bit for bit — any divergence
-  // means reset() leaks state between runs.
-  const auto limits = [] {
-    explore::ExploreLimits l;
-    l.branch_depth = 12;
-    l.max_coin_flips = 2;
-    return l;
-  }();
+  // FNV digest over every executed pick and forced flip are pinned to the
+  // values an exploration with a new SimRuntime per execution produced —
+  // any divergence means reset() leaks state between runs.
+  explore::ExploreLimits limits;
+  limits.branch_depth = 12;
+  limits.max_coin_flips = 2;
   const explore::ExploreResult reused =
-      explore::explore_token_game(2, 2, 4, limits, 7, /*reuse_runtime=*/true);
-  const explore::ExploreResult fresh =
-      explore::explore_token_game(2, 2, 4, limits, 7, /*reuse_runtime=*/false);
-  EXPECT_EQ(reused.stats.states_visited, fresh.stats.states_visited);
-  EXPECT_EQ(reused.stats.executions, fresh.stats.executions);
-  EXPECT_EQ(reused.stats.schedule_digest, fresh.stats.schedule_digest);
-  EXPECT_EQ(reused.stats.total_steps, fresh.stats.total_steps);
+      explore::explore_token_game(2, 2, 4, limits, 7);
+  EXPECT_EQ(reused.stats.states_visited, 52u);
+  EXPECT_EQ(reused.stats.executions, 24u);
+  EXPECT_EQ(reused.stats.schedule_digest, 0x47a44d3a544723bfULL);
+  EXPECT_EQ(reused.stats.total_steps, 168u);
 }
 
 TEST(SimRuntime, ConsensusExplorationIsIdenticalUnderResetReuse) {
@@ -306,17 +301,12 @@ TEST(SimRuntime, ConsensusExplorationIsIdenticalUnderResetReuse) {
   config.inputs = {0, 1};
   config.seed = 5;
   config.limits.branch_depth = 8;
-  config.reuse_runtime = true;
   const explore::ConsensusExploreReport reused =
       explore::explore_consensus(config);
-  config.reuse_runtime = false;
-  const explore::ConsensusExploreReport fresh =
-      explore::explore_consensus(config);
-  EXPECT_EQ(reused.stats.states_visited, fresh.stats.states_visited);
-  EXPECT_EQ(reused.stats.executions, fresh.stats.executions);
-  EXPECT_EQ(reused.stats.schedule_digest, fresh.stats.schedule_digest);
+  EXPECT_EQ(reused.stats.states_visited, 42u);
+  EXPECT_EQ(reused.stats.executions, 19u);
+  EXPECT_EQ(reused.stats.schedule_digest, 0xf75e57e887462be3ULL);
   EXPECT_TRUE(reused.ok());
-  EXPECT_TRUE(fresh.ok());
 }
 
 TEST(SimRuntimeDeath, MoreProcessesThanMaskBitsAbortAtConstruction) {

@@ -47,8 +47,6 @@ struct Options {
   bool claim41 = false;
   bool sleep_sets = true;
   bool state_cache = true;
-  bool reuse_runtime = true;
-  bool compact_cache = true;
   bool isolate = false;
   std::vector<std::string> protocols;
   std::vector<int> inputs;  // non-empty = explore one input cell only
@@ -111,12 +109,11 @@ void usage(std::FILE* to) {
                "                     results are byte-identical at any J\n"
                "  --inputs CSV       explore one input cell (e.g. 0,1,1,0)\n"
                "                     instead of all 2^n vectors\n"
-               "  --isolate          grade each leaf in a fork()ed child\n"
-               "                     (crashes become worker-crash findings)\n"
-               "  --cache-map        legacy unordered_map seen-state cache\n"
-               "                     (default: compact fingerprint table)\n"
+               "  --isolate          run each execution in a fork()ed child\n"
+               "                     first (a crash becomes a worker-crash\n"
+               "                     finding; a clean one is re-run inline)\n"
                "  --max-cache-mb M   seen-state cache budget; over it the\n"
-               "                     cache evicts deep entries (compact only)\n"
+               "                     cache evicts deep entries\n"
                "  --checkpoint-out F write a .bprc-frontier checkpoint to F\n"
                "                     (at the end, and see --checkpoint-every)\n"
                "  --checkpoint-every K  also checkpoint every K executions\n"
@@ -129,9 +126,7 @@ void usage(std::FILE* to) {
                "  --out DIR          write .bprc-repro artifacts here\n"
                "  --stats            states/sec and prune-ratio report\n"
                "  --no-sleep-sets    disable partial-order reduction\n"
-               "  --no-state-cache   disable seen-state merging\n"
-               "  --fresh-runtime    new SimRuntime per execution (default\n"
-               "                     reuses one via reset())\n");
+               "  --no-state-cache   disable seen-state merging\n");
 }
 
 bool parse_args(int argc, char** argv, Options& opt) {
@@ -151,7 +146,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
     else if (arg == "--stats") opt.stats = true;
     else if (arg == "--no-sleep-sets") opt.sleep_sets = false;
     else if (arg == "--no-state-cache") opt.state_cache = false;
-    else if (arg == "--fresh-runtime") opt.reuse_runtime = false;
     else if (arg == "--protocol") { if (!(v = need_value(i))) return false; opt.protocols.push_back(v); }
     else if (arg == "--n") { if (!(v = need_value(i))) return false; opt.n = std::atoi(v); }
     else if (arg == "--depth") { if (!(v = need_value(i))) return false; opt.depth = std::strtoull(v, nullptr, 10); }
@@ -186,7 +180,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
     else if (arg == "--max-states") { if (!(v = need_value(i))) return false; opt.max_states = std::strtoull(v, nullptr, 10); }
     else if (arg == "--jobs") { if (!(v = need_value(i))) return false; opt.jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10)); }
     else if (arg == "--isolate") opt.isolate = true;
-    else if (arg == "--cache-map") opt.compact_cache = false;
     else if (arg == "--max-cache-mb") { if (!(v = need_value(i))) return false; opt.max_cache_mb = std::strtoull(v, nullptr, 10); }
     else if (arg == "--checkpoint-out") { if (!(v = need_value(i))) return false; opt.checkpoint_out = v; }
     else if (arg == "--checkpoint-every") { if (!(v = need_value(i))) return false; opt.checkpoint_every = std::strtoull(v, nullptr, 10); }
@@ -235,7 +228,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
   }
   if (opt.isolate && opt.jobs > 1) {
     std::fprintf(stderr,
-                 "bprc_explore: --isolate forks per leaf; use --jobs 1\n");
+                 "bprc_explore: --isolate forks per execution; use --jobs 1\n");
     return false;
   }
   if (opt.split_count > 1 && opt.split_index >= opt.split_count) {
@@ -267,7 +260,6 @@ ExploreLimits build_limits(const Options& opt) {
   limits.sleep_sets = opt.sleep_sets;
   limits.state_cache = opt.state_cache;
   limits.grade_jobs = opt.jobs == 0 ? engine::default_jobs() : opt.jobs;
-  limits.compact_cache = opt.compact_cache;
   limits.max_cache_bytes = opt.max_cache_mb * 1024 * 1024;
   limits.isolate_leaves = opt.isolate;
   limits.split_index = opt.split_index;
@@ -348,7 +340,7 @@ ProtocolOutcome explore_one_protocol(const Options& opt,
                                      std::size_t* artifact_index) {
   const ExploreLimits limits = build_limits(opt);
   const auto reports = explore_consensus_all_inputs(
-      name, opt.n, opt.seed, limits, opt.reuse_runtime, opt.space);
+      name, opt.n, opt.seed, limits, opt.space);
   ProtocolOutcome outcome;
   for (const ConsensusExploreReport& report : reports) {
     outcome.violations += report.violations.size();
@@ -399,8 +391,7 @@ int run_claim41(const Options& opt) {
                              static_cast<std::uint64_t>(opt.moves);
   if (limits.branch_depth < need) limits.branch_depth = need;
   const ExploreResult result =
-      explore_token_game(opt.n, opt.strip_k, opt.moves, limits, opt.seed,
-                         opt.reuse_runtime);
+      explore_token_game(opt.n, opt.strip_k, opt.moves, limits, opt.seed);
   std::printf("claim41 n=%d K=%d moves=%d: %llu states, %llu executions%s\n",
               opt.n, opt.strip_k, opt.moves,
               static_cast<unsigned long long>(result.stats.states_visited),
@@ -428,7 +419,6 @@ int run_single_cell(const Options& opt, const std::string& name) {
   config.seed = opt.seed;
   config.space = opt.space;
   config.limits = build_limits(opt);
-  config.reuse_runtime = opt.reuse_runtime;
 
   FrontierOptions fopts;
   fopts.checkpoint_path = opt.checkpoint_out;
